@@ -60,30 +60,6 @@ benchIo()
     return io;
 }
 
-inline std::string
-benchJsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** Parse the shared bench flags; returns 0 to proceed, nonzero (the
  *  process exit code) on an unrecognized argument. Enables tracing when
  *  --trace or --stats is given (both consume the recorded registry). */
@@ -202,16 +178,16 @@ table(const std::vector<std::string> &series, const std::vector<Row> &rows,
     BenchIo &io = benchIo();
     if (!io.jsonPath.empty()) {
         std::string sec;
-        sec += "{\"title\":\"" + benchJsonEscape(io.sectionTitle) + "\"";
+        sec += "{\"title\":\"" + jsonEscape(io.sectionTitle) + "\"";
         sec += ",\"series\":[";
         for (size_t i = 0; i < series.size(); i++) {
             sec += (i ? "," : "");
-            sec += "\"" + benchJsonEscape(series[i]) + "\"";
+            sec += "\"" + jsonEscape(series[i]) + "\"";
         }
         sec += "],\"rows\":[";
         for (size_t i = 0; i < rows.size(); i++) {
             sec += (i ? "," : "");
-            sec += "{\"label\":\"" + benchJsonEscape(rows[i].label) +
+            sec += "{\"label\":\"" + jsonEscape(rows[i].label) +
                    "\",\"values\":[";
             for (size_t j = 0; j < rows[i].values.size(); j++) {
                 char buf[40];

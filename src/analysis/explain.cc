@@ -31,23 +31,6 @@ softKindName(Constraint::Kind kind)
 }
 
 std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    out += "\"";
-    return out;
-}
-
-std::string
 num(double v)
 {
     std::ostringstream os;
@@ -220,16 +203,16 @@ searchExplanationJson(const SearchExplanation &ex)
         return os.str();
     }
     const MappingExplanation &m = ex.selected;
-    os << ",\"selected\":" << jsonStr(m.decision.toString());
+    os << ",\"selected\":\"" << jsonEscape(m.decision.toString()) << "\"";
     os << ",\"feasible\":" << (m.feasible ? "true" : "false");
     os << ",\"score\":" << num(m.totalScore);
     os << ",\"dop\":" << num(m.dop);
     os << ",\"hard_checks\":[";
     for (size_t i = 0; i < m.hardChecks.size(); i++) {
         const HardCheck &h = m.hardChecks[i];
-        os << (i ? "," : "") << "{\"name\":" << jsonStr(h.name)
-           << ",\"passed\":" << (h.passed ? "true" : "false")
-           << ",\"detail\":" << jsonStr(h.detail) << "}";
+        os << (i ? "," : "") << "{\"name\":\"" << jsonEscape(h.name)
+           << "\",\"passed\":" << (h.passed ? "true" : "false")
+           << ",\"detail\":\"" << jsonEscape(h.detail) << "\"}";
     }
     os << "],\"soft\":[";
     for (size_t i = 0; i < m.soft.size(); i++) {
@@ -240,7 +223,7 @@ searchExplanationJson(const SearchExplanation &ex)
            << ",\"skipped_flexible\":"
            << (s.skippedFlexible ? "true" : "false")
            << ",\"contribution\":" << num(s.contribution)
-           << ",\"reason\":" << jsonStr(s.reason) << "}";
+           << ",\"reason\":\"" << jsonEscape(s.reason) << "\"}";
     }
     os << "],\"enumerated\":" << ex.enumerated;
     os << ",\"feasible_count\":" << ex.feasibleCount;
@@ -250,7 +233,7 @@ searchExplanationJson(const SearchExplanation &ex)
     os << ",\"at_best_score\":" << ex.atBestScore;
     os << ",\"at_best_capped_dop\":" << ex.atBestCappedDop;
     os << ",\"at_best_blocks\":" << ex.atBestBlocks;
-    os << ",\"control_dop\":" << jsonStr(ex.controlDopNote);
+    os << ",\"control_dop\":\"" << jsonEscape(ex.controlDopNote) << "\"";
     if (!ex.fleetJson.empty())
         os << ",\"fleet\":" << ex.fleetJson;
     if (!ex.consolidationJson.empty())

@@ -35,10 +35,7 @@ Runner::launch(const Program &prog, const Bindings &args)
     if (!compiled.result) {
         compiled.result = std::make_shared<CompileResult>(
             compileProgram(prog, gpu_->config(), copts_));
-        compiled.specSeed = EvalCache::combine(
-            EvalCache::combine(EvalCache::hashProgram(prog),
-                               EvalCache::hashCompileOptions(copts_)),
-            EvalCache::hashDevice(gpu_->config()));
+        compiled.specSeed = EvalCache::specSeed(prog, copts_, gpu_->config());
     }
     SimReport report = cachedRun(*gpu_, compiled.result->spec, args, {},
                                  compiled.specSeed, /*wantOutputs=*/true);

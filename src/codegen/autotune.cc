@@ -46,42 +46,17 @@ autotune(const Program &prog, const Gpu &gpu, const Bindings &args,
     fixed.keepCandidates = false;
     fixed.strategy = Strategy::Fixed;
 
-    std::vector<double> measuredMs(picks.size(), 0.0);
-    if (options.reset) {
-        // Trials mutate caller state between reset() calls (in-place
-        // programs), so they must run functionally and one at a time.
-        for (size_t i = 0; i < picks.size(); i++) {
-            options.reset();
-            CompileOptions copts = fixed;
-            copts.fixedMapping = picks[i].decision;
-            CompileResult trial =
-                compileProgram(prog, gpu.config(), copts);
-            measuredMs[i] = gpu.run(trial.spec, args).totalMs;
-        }
-        options.reset();
-    } else {
-        // Metrics-only trials never write the caller's buffers, so they
-        // are independent: evaluate concurrently (and through the cache,
-        // which repeated tuning of the same program hits).
-        const auto evalPick = [&](int64_t i) {
+    // Metrics-only trials never write the caller's buffers, so they are
+    // independent: evaluate concurrently (and through the cache, which
+    // repeated tuning of the same program hits).
+    const std::vector<double> measuredMs = parallelMap<double>(
+        static_cast<int64_t>(picks.size()), [&](int64_t i) {
             CompileOptions copts = fixed;
             copts.fixedMapping = picks[static_cast<size_t>(i)].decision;
-            ExecOptions eopts;
-            if (options.useCache)
-                return cachedCompileAndRun(gpu, prog, args, copts, eopts,
-                                           /*wantOutputs=*/false)
-                    .totalMs;
-            eopts.metricsOnly = true;
-            return gpu.compileAndRun(prog, args, copts, eopts).totalMs;
-        };
-        if (options.parallel) {
-            measuredMs = parallelMap<double>(
-                static_cast<int64_t>(picks.size()), evalPick);
-        } else {
-            for (size_t i = 0; i < picks.size(); i++)
-                measuredMs[i] = evalPick(static_cast<int64_t>(i));
-        }
-    }
+            return cachedCompileAndRun(gpu, prog, args, copts, {},
+                                       /*wantOutputs=*/false)
+                .totalMs;
+        });
 
     // Serial fold in pick order: identical tie-breaking no matter how
     // the measurements were produced.

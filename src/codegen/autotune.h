@@ -6,15 +6,13 @@
  * take the top-scoring hard-feasible candidates from Algorithm 1,
  * actually run each on the simulated device, and keep the fastest.
  *
- * The program must be re-runnable with the given bindings (outputs are
- * overwritten on every trial; in-place updates would corrupt — pass a
- * `reset` callback to restore state between trials if needed).
+ * Trials run metrics-only, concurrently and through the EvalCache, so
+ * the caller's buffers are never written. Trial reports and the winning
+ * mapping do not depend on the thread count (tests/sim/determinism_test).
  */
 
 #ifndef NPP_CODEGEN_AUTOTUNE_H
 #define NPP_CODEGEN_AUTOTUNE_H
-
-#include <functional>
 
 #include "codegen/compile.h"
 #include "runtime/binding.h"
@@ -29,23 +27,6 @@ struct AutotuneOptions
 {
     /** Distinct top-scoring candidates to execute. */
     int topCandidates = 8;
-
-    /** Called before every trial to restore input/output state (needed
-     *  for programs that update arrays in place). Setting it forces the
-     *  legacy serial functional trial loop: resets order trials, so
-     *  they cannot run concurrently or metrics-only. */
-    std::function<void()> reset;
-
-    /** Evaluate trials concurrently (metrics-only, so the caller's
-     *  buffers are untouched). Ignored when `reset` is set. Trial
-     *  reports and the winning mapping are bit-identical to the serial
-     *  path (tests/sim/determinism_test). */
-    bool parallel = true;
-
-    /** Route trials through the process-wide EvalCache so re-tuning the
-     *  same (program, bindings) skips compile + simulation. Ignored
-     *  when `reset` is set. */
-    bool useCache = true;
 };
 
 /** One executed trial. */

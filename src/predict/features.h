@@ -12,8 +12,8 @@
  * The schema is versioned by kPredictFeatureVersion: any change to the
  * feature count, order, or derivation must bump it, and a persisted
  * model trained against a different version is rejected as "no model"
- * (the same staleness discipline the on-disk EvalCache tier applies via
- * kEvalCacheDiskFormatVersion).
+ * (the on-disk EvalCache tier rejects stale entries the same way, by its
+ * format version).
  */
 
 #ifndef NPP_PREDICT_FEATURES_H

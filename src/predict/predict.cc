@@ -18,27 +18,6 @@ namespace npp {
 namespace {
 
 std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            // Mapping strings are printable ASCII; drop anything else
-            // rather than emit invalid JSON.
-            if (static_cast<unsigned char>(c) >= 0x20)
-                out += c;
-        }
-    }
-    out += "\"";
-    return out;
-}
-
-std::string
 num(double v)
 {
     std::ostringstream os;
@@ -94,16 +73,17 @@ PredictSweep::toJson() const
     std::ostringstream os;
     os << "{\"used_model\":" << (usedModel ? "true" : "false");
     if (!usedModel)
-        os << ",\"fallback_reason\":" << jsonStr(fallbackReason);
+        os << ",\"fallback_reason\":\"" << jsonEscape(fallbackReason)
+           << "\"";
     os << ",\"pruned\":" << pruned;
     os << ",\"survivors\":" << survivors;
-    os << ",\"best\":" << jsonStr(best.toString());
+    os << ",\"best\":\"" << jsonEscape(best.toString()) << "\"";
     os << ",\"best_ms\":" << num(bestMs);
     os << ",\"candidates\":[";
     for (size_t i = 0; i < candidates.size(); i++) {
         const PredictCandidate &c = candidates[i];
-        os << (i ? "," : "") << "{\"mapping\":"
-           << jsonStr(c.decision.toString()) << ",\"score\":"
+        os << (i ? "," : "") << "{\"mapping\":\""
+           << jsonEscape(c.decision.toString()) << "\",\"score\":"
            << num(c.score) << ",\"predicted_ms\":" << num(c.predictedMs)
            << ",\"survived\":" << (c.survived ? "true" : "false")
            << ",\"score_choice\":" << (c.isScoreChoice ? "true" : "false");

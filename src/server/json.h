@@ -63,9 +63,6 @@ struct JsonValue
 std::optional<JsonValue> parseJson(const std::string &text,
                                    std::string *error = nullptr);
 
-/** Escape a string for embedding inside a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
 } // namespace npp
 
 #endif // NPP_SERVER_JSON_H

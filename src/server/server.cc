@@ -282,10 +282,8 @@ struct MappingServer::Impl
 
         ExecOptions eopts;
         eopts.metricsOnly = true; // report-only: race-free, classed speed
-        const uint64_t specSeed = EvalCache::combine(
-            EvalCache::combine(EvalCache::hashProgram(*demo->prog),
-                               EvalCache::hashCompileOptions(copts)),
-            EvalCache::hashDevice(gpu.config()));
+        const uint64_t specSeed =
+            EvalCache::specSeed(*demo->prog, copts, gpu.config());
         uint64_t key = EvalCache::combine(
             EvalCache::combine(specSeed, EvalCache::hashBindings(args)),
             EvalCache::hashExec(eopts));

@@ -1,6 +1,5 @@
 #include "sim/consolidation.h"
 
-#include <iomanip>
 #include <sstream>
 
 #include "analysis/consolidate.h"
@@ -10,26 +9,6 @@
 namespace npp {
 
 namespace {
-
-std::string
-fmtMs(double ms)
-{
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(4) << ms;
-    return os.str();
-}
-
-std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out + "\"";
-}
 
 /** Compile + metrics-only cached evaluation of one candidate. */
 ConsolidationCandidate
@@ -45,10 +24,7 @@ evalCandidate(const Gpu &gpu, const Program &prog, const Bindings &args,
     copts.explainSearch = false;
 
     const CompileResult compiled = compileProgram(prog, gpu.config(), copts);
-    const uint64_t specSeed = EvalCache::combine(
-        EvalCache::combine(EvalCache::hashProgram(prog),
-                           EvalCache::hashCompileOptions(copts)),
-        EvalCache::hashDevice(gpu.config()));
+    const uint64_t specSeed = EvalCache::specSeed(prog, copts, gpu.config());
 
     ExecOptions scoreOpts = eopts;
     scoreOpts.metricsOnly = true;
@@ -127,14 +103,14 @@ searchConsolidation(const Gpu &gpu, const Program &prog,
             fmt("consolidated: {}-bin queues beat the best static "
                 "mapping ({}x; bin fill {}, queue build {} ms)",
                 binGranularityName(best->granularity),
-                fmtMs(choice.speedup), fixed(best->binFill, 3),
-                fmtMs(best->queueBuildMs));
+                fixed(choice.speedup, 4), fixed(best->binFill, 3),
+                fixed(best->queueBuildMs, 4));
     } else {
         const double bestConsMs = best ? best->totalMs : 0.0;
         choice.verdict = fmt(
             "not consolidated: queue build outweighs the skew savings "
             "(best static {} ms vs consolidated {} ms)",
-            fmtMs(choice.staticMs), fmtMs(bestConsMs));
+            fixed(choice.staticMs, 4), fixed(bestConsMs, 4));
         choice.speedup =
             choice.bestMs > 0.0 ? choice.staticMs / choice.bestMs : 1.0;
     }
@@ -149,10 +125,10 @@ formatConsolidationChoice(const ConsolidationChoice &choice)
     for (const ConsolidationCandidate &c : choice.candidates) {
         os << "  " << c.label;
         if (c.feasible) {
-            os << "  " << fmtMs(c.totalMs) << " ms";
+            os << "  " << fixed(c.totalMs, 4) << " ms";
             if (c.strategy == Strategy::Consolidate) {
                 os << "  (bin fill " << fixed(c.binFill, 3)
-                   << ", queue build " << fmtMs(c.queueBuildMs)
+                   << ", queue build " << fixed(c.queueBuildMs, 4)
                    << " ms)";
             }
         } else {
@@ -171,10 +147,10 @@ consolidationChoiceJson(const ConsolidationChoice &choice)
     os << "{\"consolidated\":"
        << (choice.consolidated ? "true" : "false");
     if (choice.consolidated) {
-        os << ",\"granularity\":"
-           << jsonStr(binGranularityName(choice.granularity));
+        os << ",\"granularity\":\""
+           << jsonEscape(binGranularityName(choice.granularity)) << "\"";
     }
-    os << ",\"verdict\":" << jsonStr(choice.verdict)
+    os << ",\"verdict\":\"" << jsonEscape(choice.verdict) << "\""
        << ",\"static_ms\":" << choice.staticMs
        << ",\"best_ms\":" << choice.bestMs
        << ",\"speedup\":" << choice.speedup << ",\"candidates\":[";
@@ -183,14 +159,14 @@ consolidationChoiceJson(const ConsolidationChoice &choice)
         if (!first)
             os << ",";
         first = false;
-        os << "{\"label\":" << jsonStr(c.label)
+        os << "{\"label\":\"" << jsonEscape(c.label) << "\""
            << ",\"feasible\":" << (c.feasible ? "true" : "false");
         if (c.feasible) {
             os << ",\"total_ms\":" << c.totalMs
                << ",\"queue_build_ms\":" << c.queueBuildMs
                << ",\"bin_fill\":" << c.binFill;
         } else {
-            os << ",\"verdict\":" << jsonStr(c.verdict);
+            os << ",\"verdict\":\"" << jsonEscape(c.verdict) << "\"";
         }
         os << "}";
     }

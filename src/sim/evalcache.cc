@@ -162,6 +162,14 @@ struct ByteWriter
         u64(s.size());
         buf.append(s);
     }
+
+    /** @name One encoding per field-table type
+     *  @{ */
+    void put(double v) { f64(v); }
+    void put(int64_t v) { i64(v); }
+    void put(bool v) { u8(v ? 1 : 0); }
+    void put(const std::string &v) { str(v); }
+    /** @} */
 };
 
 /** Bounds-checked reader: any overrun latches ok=false and returns
@@ -234,123 +242,60 @@ struct ByteReader
     }
 
     bool exhausted() const { return ok && off == n; }
+
+    /** @name Inverse of ByteWriter::put
+     *  @{ */
+    void get(double &v) { v = f64(); }
+    void get(int64_t &v) { v = i64(); }
+    void get(bool &v) { v = u8() != 0; }
+    void get(std::string &v) { v = str(); }
+    /** @} */
 };
 
+template <class S>
+void
+putFields(ByteWriter &w, const S &obj)
+{
+    visitFields<S>([&](auto row) { w.put(obj.*row.member); });
+}
+
+template <class S>
+void
+getFields(ByteReader &r, S &obj)
+{
+    visitFields<S>([&](auto row) { r.get(obj.*row.member); });
+}
+
+/** A report's table rows in table order (SimReport's, then its
+ *  KernelStats'), then the site table as a count and each site's rows. */
 void
 putReport(ByteWriter &w, const SimReport &r)
 {
-    w.f64(r.totalMs);
-    w.f64(r.computeMs);
-    w.f64(r.memoryMs);
-    w.f64(r.launchMs);
-    w.f64(r.blockOverheadMs);
-    w.f64(r.mallocMs);
-    w.f64(r.combinerMs);
-    w.f64(r.compactionMs);
-    w.f64(r.achievedBandwidth);
-    w.f64(r.residentWarps);
-    w.i64(r.blocksPerSM);
-    w.f64(r.occupancy);
-    w.f64(r.coalescingEfficiency);
-
-    const KernelStats &s = r.stats;
-    w.f64(s.warpInstructions);
-    w.f64(s.transactions);
-    w.f64(s.usefulBytes);
-    w.f64(s.smemAccesses);
-    w.f64(s.syncs);
-    w.f64(s.mallocs);
-    w.i64(s.totalBlocks);
-    w.i64(s.threadsPerBlock);
-    w.i64(s.sharedMemPerBlock);
-    w.u8(s.hasCombiner ? 1 : 0);
-    w.f64(s.combinerTransactions);
-    w.f64(s.combinerOps);
-    w.i64(s.combinerThreads);
-    w.u8(s.hasCompaction ? 1 : 0);
-    w.f64(s.compactionTransactions);
-    w.f64(s.compactionOps);
-    w.i64(s.compactionThreads);
-    w.f64(r.queueBuildMs);
-    w.u8(s.hasConsolidation ? 1 : 0);
-    w.f64(s.queueBuildTransactions);
-    w.f64(s.queueBuildOps);
-    w.i64(s.queueBuildThreads);
-    w.i64(s.consolidationGroups);
-    w.i64(s.consolidationParents);
-    w.i64(s.consolidationEntries);
-    w.i64(s.consolidationWaves);
-    w.f64(s.binFill);
-    w.f64(s.sampledFraction);
-    w.i64(s.classedBlocks);
-    w.str(s.classReason);
-    w.u64(s.siteTraffic.size());
-    for (const SiteTraffic &st : s.siteTraffic) {
-        w.i64(st.site);
-        w.f64(st.transactions);
-        w.f64(st.usefulBytes);
-        w.f64(st.accesses);
-    }
+    putFields(w, r);
+    putFields(w, r.stats);
+    w.u64(r.stats.siteTraffic.size());
+    for (const SiteTraffic &st : r.stats.siteTraffic)
+        putFields(w, st);
 }
 
 SimReport
 getReport(ByteReader &r)
 {
     SimReport rep;
-    rep.totalMs = r.f64();
-    rep.computeMs = r.f64();
-    rep.memoryMs = r.f64();
-    rep.launchMs = r.f64();
-    rep.blockOverheadMs = r.f64();
-    rep.mallocMs = r.f64();
-    rep.combinerMs = r.f64();
-    rep.compactionMs = r.f64();
-    rep.achievedBandwidth = r.f64();
-    rep.residentWarps = r.f64();
-    rep.blocksPerSM = r.i64();
-    rep.occupancy = r.f64();
-    rep.coalescingEfficiency = r.f64();
-
-    KernelStats &s = rep.stats;
-    s.warpInstructions = r.f64();
-    s.transactions = r.f64();
-    s.usefulBytes = r.f64();
-    s.smemAccesses = r.f64();
-    s.syncs = r.f64();
-    s.mallocs = r.f64();
-    s.totalBlocks = r.i64();
-    s.threadsPerBlock = r.i64();
-    s.sharedMemPerBlock = r.i64();
-    s.hasCombiner = r.u8() != 0;
-    s.combinerTransactions = r.f64();
-    s.combinerOps = r.f64();
-    s.combinerThreads = r.i64();
-    s.hasCompaction = r.u8() != 0;
-    s.compactionTransactions = r.f64();
-    s.compactionOps = r.f64();
-    s.compactionThreads = r.i64();
-    rep.queueBuildMs = r.f64();
-    s.hasConsolidation = r.u8() != 0;
-    s.queueBuildTransactions = r.f64();
-    s.queueBuildOps = r.f64();
-    s.queueBuildThreads = r.i64();
-    s.consolidationGroups = r.i64();
-    s.consolidationParents = r.i64();
-    s.consolidationEntries = r.i64();
-    s.consolidationWaves = r.i64();
-    s.binFill = r.f64();
-    s.sampledFraction = r.f64();
-    s.classedBlocks = r.i64();
-    s.classReason = r.str();
+    getFields(r, rep);
+    getFields(r, rep.stats);
+    // Bound the site count by the bytes left before allocating: a site
+    // encodes to at least as many bytes as a default one.
+    static const size_t kSiteBytes = [] {
+        ByteWriter w;
+        putFields(w, SiteTraffic{});
+        return w.buf.size();
+    }();
     const uint64_t sites = r.u64();
-    if (r.ok && sites <= (r.n - r.off) / (4 * sizeof(uint64_t))) {
-        s.siteTraffic.resize(sites);
-        for (uint64_t i = 0; i < sites; i++) {
-            s.siteTraffic[i].site = r.i64();
-            s.siteTraffic[i].transactions = r.f64();
-            s.siteTraffic[i].usefulBytes = r.f64();
-            s.siteTraffic[i].accesses = r.f64();
-        }
+    if (r.ok && sites <= (r.n - r.off) / kSiteBytes) {
+        rep.stats.siteTraffic.resize(sites);
+        for (SiteTraffic &st : rep.stats.siteTraffic)
+            getFields(r, st);
     } else {
         r.ok = false;
     }
@@ -394,24 +339,26 @@ struct EvalCache::Impl
     std::list<Entry> lru; // front = most recent
     std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
     std::string diskDir; // empty = no disk tier
-    uint64_t bytes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t diskHits = 0;
-    uint64_t diskMisses = 0;
-    uint64_t diskStores = 0;
-    uint64_t diskRejects = 0;
+    /** Effectiveness counters plus the resident byte total (`entries`
+     *  is filled in by snapshots from lru.size()). */
+    EvalCacheStats counters;
+
+    /** Zero every effectiveness counter; caller holds mu. */
+    void
+    resetCounters()
+    {
+        counters = EvalCacheStats{.bytes = counters.bytes};
+    }
 
     void
     evictTo(uint64_t capacity)
     {
-        while (bytes > capacity && !lru.empty()) {
+        while (counters.bytes > capacity && !lru.empty()) {
             const Entry &victim = lru.back();
-            bytes -= victim.bytes;
+            counters.bytes -= victim.bytes;
             index.erase(victim.key);
             lru.pop_back();
-            evictions++;
+            counters.evictions++;
             NPP_TRACE_COUNT("evalcache.evictions", 1);
         }
     }
@@ -428,12 +375,12 @@ struct EvalCache::Impl
                 lru.splice(lru.begin(), lru, it->second);
                 return;
             }
-            bytes -= it->second->bytes;
+            counters.bytes -= it->second->bytes;
             lru.erase(it->second);
             index.erase(it);
         }
         const uint64_t key = entry.key;
-        bytes += entry.bytes;
+        counters.bytes += entry.bytes;
         lru.push_front(std::move(entry));
         index[key] = lru.begin();
         evictTo(capacity);
@@ -621,6 +568,29 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
+/** Can `entry` answer a probe? A wantOutputs probe needs captured
+ *  outputs whose shapes match the bound storage; they are then copied
+ *  into `args`. */
+bool
+serveEntry(const CacheEntry &entry, bool wantOutputs, const Bindings *args)
+{
+    if (!wantOutputs)
+        return true;
+    if (!entry.hasOutputs)
+        return false;
+    for (const auto &[varId, contents] : entry.outputs) {
+        const ArraySlot &slot = args->arraySlot(varId);
+        if (!slot.data ||
+            slot.physSize != static_cast<int64_t>(contents.size()))
+            return false;
+    }
+    for (const auto &[varId, contents] : entry.outputs) {
+        std::memcpy(const_cast<double *>(args->arraySlot(varId).data),
+                    contents.data(), contents.size() * sizeof(double));
+    }
+    return true;
+}
+
 } // namespace
 
 EvalCache::EvalCache()
@@ -747,6 +717,14 @@ EvalCache::combine(uint64_t a, uint64_t b)
     return mix(mix(kFnvBasis, a), b);
 }
 
+uint64_t
+EvalCache::specSeed(const Program &prog, const CompileOptions &copts,
+                    const DeviceConfig &device)
+{
+    return combine(combine(hashProgram(prog), hashCompileOptions(copts)),
+                   hashDevice(device));
+}
+
 std::optional<SimReport>
 EvalCache::find(uint64_t key, bool wantOutputs, const Bindings *args,
                 EvalTier *tierOut)
@@ -758,42 +736,16 @@ EvalCache::find(uint64_t key, bool wantOutputs, const Bindings *args,
     {
         std::lock_guard<std::mutex> lock(impl_->mu);
         auto it = impl_->index.find(key);
-        if (it != impl_->index.end()) {
-            Impl::Entry &entry = *it->second;
-            bool usable = true;
-            if (wantOutputs) {
-                // A report-only entry cannot satisfy a functional
-                // request; neither can one whose captured outputs no
-                // longer match the bound storage shape.
-                usable = entry.hasOutputs;
-                for (const auto &[varId, contents] : entry.outputs) {
-                    if (!usable)
-                        break;
-                    const ArraySlot &slot = args->arraySlot(varId);
-                    usable = slot.data &&
-                             slot.physSize ==
-                                 static_cast<int64_t>(contents.size());
-                }
-            }
-            if (usable) {
-                if (wantOutputs) {
-                    for (const auto &[varId, contents] : entry.outputs) {
-                        const ArraySlot &slot = args->arraySlot(varId);
-                        std::memcpy(const_cast<double *>(slot.data),
-                                    contents.data(),
-                                    contents.size() * sizeof(double));
-                    }
-                }
-                impl_->hits++;
-                NPP_TRACE_COUNT("evalcache.hits", 1);
-                impl_->lru.splice(impl_->lru.begin(), impl_->lru,
-                                  it->second);
-                if (tierOut)
-                    *tierOut = EvalTier::Memory;
-                return entry.report;
-            }
+        if (it != impl_->index.end() &&
+            serveEntry(*it->second, wantOutputs, args)) {
+            impl_->counters.hits++;
+            NPP_TRACE_COUNT("evalcache.hits", 1);
+            impl_->lru.splice(impl_->lru.begin(), impl_->lru, it->second);
+            if (tierOut)
+                *tierOut = EvalTier::Memory;
+            return it->second->report;
         }
-        impl_->misses++;
+        impl_->counters.misses++;
         NPP_TRACE_COUNT("evalcache.misses", 1);
         diskDir = impl_->diskDir;
     }
@@ -809,34 +761,15 @@ EvalCache::find(uint64_t key, bool wantOutputs, const Bindings *args,
     if (rd != DiskRead::Ok) {
         std::lock_guard<std::mutex> lock(impl_->mu);
         if (rd == DiskRead::Reject) {
-            impl_->diskRejects++;
+            impl_->counters.diskRejects++;
             NPP_TRACE_COUNT("evalcache.disk_rejects", 1);
         }
-        impl_->diskMisses++;
+        impl_->counters.diskMisses++;
         NPP_TRACE_COUNT("evalcache.disk_misses", 1);
         return std::nullopt;
     }
 
-    bool usable = true;
-    if (wantOutputs) {
-        usable = entry.hasOutputs;
-        for (const auto &[varId, contents] : entry.outputs) {
-            if (!usable)
-                break;
-            const ArraySlot &slot = args->arraySlot(varId);
-            usable = slot.data &&
-                     slot.physSize == static_cast<int64_t>(contents.size());
-        }
-        if (usable) {
-            for (const auto &[varId, contents] : entry.outputs) {
-                const ArraySlot &slot = args->arraySlot(varId);
-                std::memcpy(const_cast<double *>(slot.data),
-                            contents.data(),
-                            contents.size() * sizeof(double));
-            }
-        }
-    }
-
+    const bool usable = serveEntry(entry, wantOutputs, args);
     SimReport report = entry.report;
     {
         std::lock_guard<std::mutex> lock(impl_->mu);
@@ -845,10 +778,10 @@ EvalCache::find(uint64_t key, bool wantOutputs, const Bindings *args,
         impl_->insertLocked(std::move(entry),
                             static_cast<uint64_t>(capacityBytes_));
         if (usable) {
-            impl_->diskHits++;
+            impl_->counters.diskHits++;
             NPP_TRACE_COUNT("evalcache.disk_hits", 1);
         } else {
-            impl_->diskMisses++;
+            impl_->counters.diskMisses++;
             NPP_TRACE_COUNT("evalcache.disk_misses", 1);
         }
     }
@@ -905,7 +838,7 @@ EvalCache::store(uint64_t key, const SimReport &report,
         return;
     if (writeDiskEntry(diskDir, key, payload)) {
         std::lock_guard<std::mutex> lock(impl_->mu);
-        impl_->diskStores++;
+        impl_->counters.diskStores++;
         NPP_TRACE_COUNT("evalcache.disk_stores", 1);
     }
 }
@@ -914,16 +847,8 @@ EvalCacheStats
 EvalCache::stats() const
 {
     std::lock_guard<std::mutex> lock(impl_->mu);
-    EvalCacheStats s;
-    s.hits = impl_->hits;
-    s.misses = impl_->misses;
-    s.evictions = impl_->evictions;
+    EvalCacheStats s = impl_->counters;
     s.entries = impl_->lru.size();
-    s.bytes = impl_->bytes;
-    s.diskHits = impl_->diskHits;
-    s.diskMisses = impl_->diskMisses;
-    s.diskStores = impl_->diskStores;
-    s.diskRejects = impl_->diskRejects;
     return s;
 }
 
@@ -945,14 +870,8 @@ EvalCache::clear()
     std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->lru.clear();
     impl_->index.clear();
-    impl_->bytes = 0;
-    impl_->hits = 0;
-    impl_->misses = 0;
-    impl_->evictions = 0;
-    impl_->diskHits = 0;
-    impl_->diskMisses = 0;
-    impl_->diskStores = 0;
-    impl_->diskRejects = 0;
+    impl_->counters.bytes = 0;
+    impl_->resetCounters();
 }
 
 void
@@ -986,13 +905,7 @@ EvalCache::resetCounters()
     // must not show phase N's evictions or disk traffic next to phase
     // N+1's hit rate.
     std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->hits = 0;
-    impl_->misses = 0;
-    impl_->evictions = 0;
-    impl_->diskHits = 0;
-    impl_->diskMisses = 0;
-    impl_->diskStores = 0;
-    impl_->diskRejects = 0;
+    impl_->resetCounters();
 }
 
 namespace {
@@ -1046,12 +959,9 @@ cachedCompileAndRun(const Gpu &gpu, const Program &prog,
         return report;
     }
 
-    const uint64_t specSeed = EvalCache::combine(
-        EvalCache::combine(EvalCache::hashProgram(prog),
-                           EvalCache::hashCompileOptions(copts)),
-        EvalCache::hashDevice(gpu.config()));
     const uint64_t key = EvalCache::combine(
-        EvalCache::combine(specSeed, EvalCache::hashBindings(args)),
+        EvalCache::combine(EvalCache::specSeed(prog, copts, gpu.config()),
+                           EvalCache::hashBindings(args)),
         EvalCache::hashExec(eo));
     if (auto hit = cache.find(key, wantOutputs, &args, tierOut))
         return *hit;

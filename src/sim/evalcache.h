@@ -28,9 +28,9 @@
  *    parameters, bound scalars, or bound array contents changes the key
  *    (there is no in-place invalidation — stale memory entries age out
  *    via LRU; stale disk entries are unreachable garbage);
- *  - a change to the coalescing model (kCoalesceModelVersion) or the
- *    serialized report layout (bump kEvalCacheDiskFormatVersion)
- *    invalidates every disk entry via the header check;
+ *  - a change to the coalescing model (kCoalesceModelVersion) or to the
+ *    report field table (sim/metrics.h; kEvalCacheDiskFormatVersion
+ *    follows it) invalidates every disk entry via the header check;
  *  - metricsOnly/blockClasses execution modes are excluded from the key
  *    because they are report-identical by construction (enforced by the
  *    determinism test), so metrics-only autotune trials warm the cache
@@ -49,12 +49,20 @@
 #include <string>
 
 #include "sim/gpu.h"
+#include "sim/metrics.h"
 
 namespace npp {
 
-/** Bump on any change to the serialized disk-entry layout. v2 added the
- *  consolidation stage (queueBuildMs + queue/bin counters). */
-inline constexpr uint32_t kEvalCacheDiskFormatVersion = 2;
+/** Version of the hand-written part of a disk entry: the site-table
+ *  count and the captured output arrays. The report fields themselves
+ *  are covered by the field-table hash below. */
+inline constexpr uint32_t kEvalCacheEntryLayoutVersion = 2;
+
+/** Disk entry format version, written in every header. Derived from the
+ *  report field table, so adding, retyping or reordering a field rejects
+ *  older entries on its own. */
+inline constexpr uint32_t kEvalCacheDiskFormatVersion = static_cast<uint32_t>(
+    reportFieldTableHash(kEvalCacheEntryLayoutVersion) >> 32);
 
 /** Where an evaluation's report came from (cache-tier provenance,
  *  reported per request by the mapping service). */
@@ -117,6 +125,11 @@ class EvalCache
      *  satisfy one another. */
     static uint64_t hashFleet(const FleetConfig &fleet);
     static uint64_t combine(uint64_t a, uint64_t b);
+    /** Seed for cachedRun: identifies a spec by how it was produced
+     *  (program, compile options, device). */
+    static uint64_t specSeed(const Program &prog,
+                             const CompileOptions &copts,
+                             const DeviceConfig &device);
     /** @} */
 
     bool enabled() const { return capacityBytes_ > 0; }
@@ -218,8 +231,8 @@ SimReport cachedCompileAndRun(const Gpu &gpu, const Program &prog,
 
 /**
  * Memoized Gpu::run for an already-compiled spec. `specSeed` must
- * identify how the spec was produced (combine of program/options/device
- * hashes); the caller computes it once per compile.
+ * identify how the spec was produced (EvalCache::specSeed); the caller
+ * computes it once per compile.
  */
 SimReport cachedRun(const Gpu &gpu, const KernelSpec &spec,
                     const Bindings &args, const ExecOptions &eopts,

@@ -208,10 +208,8 @@ class DeviceExecutor
             // The dense vector is already site-ordered; untouched sites
             // stay all-zero and are dropped, matching the sparse export.
             for (const SiteTraffic &st : siteTrafficDense) {
-                if (st.accesses != 0.0 || st.transactions != 0.0 ||
-                    st.usefulBytes != 0.0) {
+                if (siteCounted(st))
                     stats.siteTraffic.push_back(st);
-                }
             }
         }
 
@@ -222,19 +220,14 @@ class DeviceExecutor
                 st.transactions *= device.wrapperTrafficFactor;
         }
 
-        // Extrapolate the sampled traffic to the whole grid. The global
-        // useful-byte tally accrues on *every* block (the probe counts it
-        // before its countTraffic gate), so it is already whole-grid
-        // exact — scaling it with the sampled traffic would double-count
-        // and inflate the reported coalescing efficiency. Per-site useful
-        // bytes are countTraffic-gated and do need the extrapolation.
+        // Extrapolate the Sampled fields to the whole grid. The aggregate
+        // useful-byte tally is EveryBlock (the probe counts it before its
+        // countTraffic gate), so scaling it would double-count and inflate
+        // the reported coalescing efficiency; per-site useful bytes are
+        // countTraffic-gated, so Sampled, and do need the extrapolation.
         if (measured < geom.totalBlocks && measured > 0) {
-            const double factor =
-                static_cast<double>(geom.totalBlocks) / measured;
-            const double exactUsefulBytes = stats.usefulBytes;
-            stats.scaleTraffic(factor);
-            stats.usefulBytes = exactUsefulBytes;
-            stats.mallocs *= factor;
+            stats.scaleSampled(static_cast<double>(geom.totalBlocks) /
+                               measured);
             stats.sampledFraction =
                 static_cast<double>(measured) / geom.totalBlocks;
         }
@@ -456,32 +449,43 @@ class DeviceExecutor
         std::vector<SiteTraffic> sites;
     };
 
+    /** The block's change to every per-block (Sampled and EveryBlock)
+     *  stats field; the rest stay at their defaults. */
     static KernelStats
     statsDelta(const KernelStats &after, const KernelStats &before)
     {
         KernelStats d;
-        d.warpInstructions = after.warpInstructions - before.warpInstructions;
-        d.transactions = after.transactions - before.transactions;
-        d.usefulBytes = after.usefulBytes - before.usefulBytes;
-        d.smemAccesses = after.smemAccesses - before.smemAccesses;
-        d.syncs = after.syncs - before.syncs;
-        d.mallocs = after.mallocs - before.mallocs;
+        visitFields<KernelStats>([&](auto row) {
+            if constexpr (row.perBlock)
+                d.*row.member = after.*row.member - before.*row.member;
+        });
         return d;
     }
 
     static bool
     sameDelta(const BlockDelta &a, const BlockDelta &b)
     {
-        return a.stats.warpInstructions == b.stats.warpInstructions &&
-               a.stats.transactions == b.stats.transactions &&
-               a.stats.usefulBytes == b.stats.usefulBytes &&
-               a.stats.smemAccesses == b.stats.smemAccesses &&
-               a.stats.syncs == b.stats.syncs &&
-               a.stats.mallocs == b.stats.mallocs &&
-               a.compactionElems == b.compactionElems &&
-               a.compactionKept == b.compactionKept &&
-               a.compactionChunks == b.compactionChunks &&
-               a.sites == b.sites;
+        bool same = a.compactionElems == b.compactionElems &&
+                    a.compactionKept == b.compactionKept &&
+                    a.compactionChunks == b.compactionChunks &&
+                    a.sites == b.sites;
+        visitFields<KernelStats>([&](auto row) {
+            if constexpr (row.perBlock)
+                same = same && a.stats.*row.member == b.stats.*row.member;
+        });
+        return same;
+    }
+
+    /** Did any per-block counter of the site move? */
+    static bool
+    siteCounted(const SiteTraffic &s)
+    {
+        bool counted = false;
+        visitFields<SiteTraffic>([&](auto row) {
+            if constexpr (row.perBlock)
+                counted = counted || s.*row.member != 0.0;
+        });
+        return counted;
     }
 
     /** The per-site traffic this block added over `before` (site-ordered,
@@ -492,12 +496,11 @@ class DeviceExecutor
         std::vector<SiteTraffic> d;
         for (int site = 0; site < numSites; site++) {
             SiteTraffic s = siteTrafficDense[site];
-            const SiteTraffic &b = before[site];
-            s.transactions -= b.transactions;
-            s.usefulBytes -= b.usefulBytes;
-            s.accesses -= b.accesses;
-            if (s.transactions != 0.0 || s.usefulBytes != 0.0 ||
-                s.accesses != 0.0) {
+            visitFields<SiteTraffic>([&](auto row) {
+                if constexpr (row.perBlock)
+                    s.*row.member -= before[site].*row.member;
+            });
+            if (siteCounted(s)) {
                 s.site = site;
                 d.push_back(s);
             }
@@ -505,30 +508,42 @@ class DeviceExecutor
         return d;
     }
 
-    /** Replicate a representative's delta for one skipped block. Serial
-     *  execution counts traffic (aggregate and per-site) only on sampled
-     *  blocks, but useful bytes and the compaction accumulators on every
-     *  block; replication honors the same split. */
+    /** Add a block's stats delta the way serial execution counts it:
+     *  EveryBlock fields on every block, Sampled fields only on measured
+     *  ones. */
+    void
+    addBlockStats(const KernelStats &d, bool measure)
+    {
+        visitFields<KernelStats>([&](auto row) {
+            if constexpr (row.trait == FieldTrait::EveryBlock) {
+                stats.*row.member += d.*row.member;
+            } else if constexpr (row.trait == FieldTrait::Sampled) {
+                if (measure)
+                    stats.*row.member += d.*row.member;
+            }
+        });
+    }
+
+    /** Replicate a representative's delta for one skipped block: stats
+     *  per addBlockStats, the compaction accumulators on every block, and
+     *  the per-site traffic (all Sampled) on measured blocks only. */
     void
     applyDelta(const BlockDelta &d, bool measure)
     {
-        stats.usefulBytes += d.stats.usefulBytes;
+        addBlockStats(d.stats, measure);
         compactionElems += d.compactionElems;
         compactionKept += d.compactionKept;
         compactionChunks += d.compactionChunks;
         if (!measure)
             return;
-        stats.warpInstructions += d.stats.warpInstructions;
-        stats.transactions += d.stats.transactions;
-        stats.smemAccesses += d.stats.smemAccesses;
-        stats.syncs += d.stats.syncs;
-        stats.mallocs += d.stats.mallocs;
         for (const SiteTraffic &s : d.sites) {
             SiteTraffic &st = siteTrafficDense[s.site];
-            st.site = s.site;
-            st.transactions += s.transactions;
-            st.usefulBytes += s.usefulBytes;
-            st.accesses += s.accesses;
+            visitFields<SiteTraffic>([&](auto row) {
+                if constexpr (row.perBlock)
+                    st.*row.member += s.*row.member;
+                else
+                    st.*row.member = s.*row.member;
+            });
         }
     }
 
@@ -664,21 +679,20 @@ class DeviceExecutor
                 divergedBlock = block;
                 return false;
             }
-            const double dUsefulBytes = delta.stats.usefulBytes;
-            if (cls.sims == 0)
-                cls.delta = std::move(delta);
-            cls.sims++;
             if (!measure) {
-                // Serial would not have counted this block's traffic
-                // (aggregate or per-site); keep the unconditional
-                // useful bytes and compaction accumulators only.
+                // Serial would not have counted this block's Sampled
+                // fields (aggregate or per-site); keep its EveryBlock
+                // fields and compaction accumulators only.
                 stats = before;
-                stats.usefulBytes += dUsefulBytes;
+                addBlockStats(delta.stats, /*measure=*/false);
                 if (options.siteStats)
                     siteTrafficDense = std::move(beforeSites);
             } else {
                 measured++;
             }
+            if (cls.sims == 0)
+                cls.delta = std::move(delta);
+            cls.sims++;
         }
 
         for (auto &[key, cls] : classes)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <sstream>
 
 #include "runtime/eval.h"
@@ -52,14 +51,6 @@ shardOutputBytes(const KernelSpec &spec, const Bindings &args,
                    (static_cast<double>(plan.shards[d].size()) / total);
     }
     return bytes;
-}
-
-std::string
-fmtMs(double ms)
-{
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(4) << ms;
-    return os.str();
 }
 
 } // namespace
@@ -212,9 +203,9 @@ formatFleetChoice(const FleetChoice &choice)
         if (c.deviceCount > 1 && c.feasible)
             os << " split=" << c.splitPoint;
         if (c.feasible) {
-            os << "  " << fmtMs(c.fleetMs) << " ms";
+            os << "  " << fixed(c.fleetMs, 4) << " ms";
             if (choice.singleMs > 0.0 && c.fleetMs > 0.0)
-                os << "  (" << fmtMs(choice.singleMs / c.fleetMs)
+                os << "  (" << fixed(choice.singleMs / c.fleetMs, 4)
                    << "x vs one device)";
         } else {
             os << "  hard-filtered: " << c.verdict;
@@ -224,8 +215,8 @@ formatFleetChoice(const FleetChoice &choice)
     os << "selected: devices=" << choice.deviceCount;
     if (choice.deviceCount > 1) {
         os << " split=" << choice.splitPoint << " — "
-           << fmtMs(choice.speedup) << "x over one device ("
-           << fmtMs(choice.best.interMs) << " ms inter-device)";
+           << fixed(choice.speedup, 4) << "x over one device ("
+           << fixed(choice.best.interMs, 4) << " ms inter-device)";
     } else {
         os << " (sharding does not pay off here)";
     }
@@ -255,7 +246,7 @@ fleetChoiceJson(const FleetChoice &choice)
         if (c.feasible)
             os << ",\"fleet_ms\":" << c.fleetMs;
         else
-            os << ",\"verdict\":\"" << c.verdict << "\"";
+            os << ",\"verdict\":\"" << jsonEscape(c.verdict) << "\"";
         os << "}";
     }
     os << "]}";

@@ -1,7 +1,6 @@
 #include "sim/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "support/strings.h"
@@ -19,39 +18,77 @@ num(double v)
     return os.str();
 }
 
-std::string
-jsonEscape(const std::string &s)
+/** Writes the comma-separated `"key":value` members of one JSON object
+ *  (the caller writes the braces). */
+class JsonMembers
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
+  public:
+    explicit JsonMembers(std::ostringstream &os) : os_(os) {}
+
+    /** Start a member; the caller writes its value. */
+    std::ostringstream &
+    key(const char *key)
+    {
+        os_ << (first_ ? "\"" : ",\"") << key << "\":";
+        first_ = false;
+        return os_;
     }
-    return out;
+
+    void put(const char *k, double v) { key(k) << num(v); }
+    void put(const char *k, int64_t v) { key(k) << v; }
+    void put(const char *k, bool v) { key(k) << (v ? "true" : "false"); }
+
+    void
+    put(const char *k, const std::string &v)
+    {
+        key(k) << "\"" << jsonEscape(v) << "\"";
+    }
+
+    /** Every table row of `obj`, in table order. */
+    template <class S>
+    void
+    putFields(const S &obj)
+    {
+        visitFields<S>([&](auto row) { put(row.key, obj.*row.member); });
+    }
+
+  private:
+    std::ostringstream &os_;
+    bool first_ = true;
+};
+
+/** Every non-Diagnostic row of `a` and `b` is equal. */
+template <class S>
+bool
+sameFields(const S &a, const S &b)
+{
+    bool same = true;
+    visitFields<S>([&](auto row) {
+        if constexpr (row.trait != FieldTrait::Diagnostic)
+            same = same && a.*row.member == b.*row.member;
+    });
+    return same;
+}
+
+template <class S>
+void
+scaleSampledFields(S &obj, double factor)
+{
+    visitFields<S>([&](auto row) {
+        if constexpr (row.trait == FieldTrait::Sampled)
+            obj.*row.member *= factor;
+    });
 }
 
 } // namespace
+
+void
+KernelStats::scaleSampled(double factor)
+{
+    scaleSampledFields(*this, factor);
+    for (SiteTraffic &st : siteTraffic)
+        scaleSampledFields(st, factor);
+}
 
 uint64_t
 SimReport::heapBytes() const
@@ -81,76 +118,30 @@ SimReport::toJson(int64_t transactionBytes) const
     const double total = std::max(totalMs, 1e-12);
     std::ostringstream os;
     os << "{";
-    os << "\"total_ms\":" << num(totalMs);
-    os << ",\"compute_ms\":" << num(computeMs);
-    os << ",\"memory_ms\":" << num(memoryMs);
-    os << ",\"launch_ms\":" << num(launchMs);
-    os << ",\"block_overhead_ms\":" << num(blockOverheadMs);
-    os << ",\"malloc_ms\":" << num(mallocMs);
-    os << ",\"combiner_ms\":" << num(combinerMs);
-    os << ",\"compaction_ms\":" << num(compactionMs);
-    os << ",\"queue_build_ms\":" << num(queueBuildMs);
-    os << ",\"launch_share\":" << num(launchMs / total);
-    os << ",\"block_overhead_share\":" << num(blockOverheadMs / total);
-    os << ",\"achieved_bandwidth_gbs\":" << num(achievedBandwidth);
-    os << ",\"resident_warps\":" << num(residentWarps);
-    os << ",\"blocks_per_sm\":" << blocksPerSM;
-    os << ",\"occupancy\":" << num(occupancy);
-    os << ",\"coalescing_efficiency\":" << num(coalescingEfficiency);
-    os << ",\"coalesce_model\":\"" << kCoalesceModelVersion << "\"";
-    os << ",\"stats\":{";
-    os << "\"warp_instructions\":" << num(stats.warpInstructions);
-    os << ",\"transactions\":" << num(stats.transactions);
-    os << ",\"useful_bytes\":" << num(stats.usefulBytes);
-    os << ",\"smem_accesses\":" << num(stats.smemAccesses);
-    os << ",\"syncs\":" << num(stats.syncs);
-    os << ",\"mallocs\":" << num(stats.mallocs);
-    os << ",\"total_blocks\":" << stats.totalBlocks;
-    os << ",\"threads_per_block\":" << stats.threadsPerBlock;
-    os << ",\"shared_mem_per_block\":" << stats.sharedMemPerBlock;
-    os << ",\"has_combiner\":" << (stats.hasCombiner ? "true" : "false");
-    os << ",\"combiner_transactions\":" << num(stats.combinerTransactions);
-    os << ",\"combiner_ops\":" << num(stats.combinerOps);
-    os << ",\"combiner_threads\":" << stats.combinerThreads;
-    os << ",\"has_compaction\":"
-       << (stats.hasCompaction ? "true" : "false");
-    os << ",\"compaction_transactions\":"
-       << num(stats.compactionTransactions);
-    os << ",\"compaction_ops\":" << num(stats.compactionOps);
-    os << ",\"compaction_threads\":" << stats.compactionThreads;
-    os << ",\"has_consolidation\":"
-       << (stats.hasConsolidation ? "true" : "false");
-    os << ",\"queue_build_transactions\":"
-       << num(stats.queueBuildTransactions);
-    os << ",\"queue_build_ops\":" << num(stats.queueBuildOps);
-    os << ",\"queue_build_threads\":" << stats.queueBuildThreads;
-    os << ",\"consolidation_groups\":" << stats.consolidationGroups;
-    os << ",\"consolidation_parents\":" << stats.consolidationParents;
-    os << ",\"consolidation_entries\":" << stats.consolidationEntries;
-    os << ",\"consolidation_waves\":" << stats.consolidationWaves;
-    os << ",\"bin_fill\":" << num(stats.binFill);
-    os << ",\"sampled_fraction\":" << num(stats.sampledFraction);
-    os << ",\"classed_blocks\":" << stats.classedBlocks;
-    os << ",\"class_reason\":\"" << jsonEscape(stats.classReason) << "\"";
+    JsonMembers report(os);
+#define NPP_JSON_FIELD(type, name, init, key, trait) report.put(key, name);
+    NPP_REPORT_TIME_FIELDS(NPP_JSON_FIELD)
+    report.put("launch_share", launchMs / total);
+    report.put("block_overhead_share", blockOverheadMs / total);
+    NPP_REPORT_DEVICE_FIELDS(NPP_JSON_FIELD)
+#undef NPP_JSON_FIELD
+    report.put("coalesce_model", std::string(kCoalesceModelVersion));
+    report.key("stats") << "{";
+    JsonMembers(os).putFields(stats);
     os << "}";
     if (!stats.siteTraffic.empty()) {
-        os << ",\"sites\":[";
-        bool first = true;
-        for (const SiteTraffic &st : stats.siteTraffic) {
-            if (!first)
-                os << ",";
-            first = false;
+        report.key("sites") << "[";
+        for (size_t i = 0; i < stats.siteTraffic.size(); i++) {
+            const SiteTraffic &st = stats.siteTraffic[i];
             const double moved =
                 st.transactions * static_cast<double>(transactionBytes);
-            os << "{\"site\":" << st.site
-               << ",\"transactions\":" << num(st.transactions)
-               << ",\"useful_bytes\":" << num(st.usefulBytes)
-               << ",\"accesses\":" << num(st.accesses)
-               << ",\"coalescing_efficiency\":"
-               << num(moved > 0.0
-                          ? std::min(st.usefulBytes / moved, 1.0)
-                          : 1.0)
-               << "}";
+            os << (i ? ",{" : "{");
+            JsonMembers site(os);
+            site.putFields(st);
+            site.put("coalescing_efficiency",
+                     moved > 0.0 ? std::min(st.usefulBytes / moved, 1.0)
+                                 : 1.0);
+            os << "}";
         }
         os << "]";
     }
@@ -161,44 +152,12 @@ SimReport::toJson(int64_t transactionBytes) const
 bool
 reportsBitIdentical(const SimReport &a, const SimReport &b)
 {
-    const KernelStats &s = a.stats;
-    const KernelStats &t = b.stats;
-    return a.totalMs == b.totalMs && a.computeMs == b.computeMs &&
-           a.memoryMs == b.memoryMs && a.launchMs == b.launchMs &&
-           a.blockOverheadMs == b.blockOverheadMs &&
-           a.mallocMs == b.mallocMs && a.combinerMs == b.combinerMs &&
-           a.compactionMs == b.compactionMs &&
-           a.achievedBandwidth == b.achievedBandwidth &&
-           a.residentWarps == b.residentWarps &&
-           a.blocksPerSM == b.blocksPerSM && a.occupancy == b.occupancy &&
-           a.coalescingEfficiency == b.coalescingEfficiency &&
-           s.warpInstructions == t.warpInstructions &&
-           s.transactions == t.transactions &&
-           s.usefulBytes == t.usefulBytes &&
-           s.smemAccesses == t.smemAccesses && s.syncs == t.syncs &&
-           s.mallocs == t.mallocs && s.totalBlocks == t.totalBlocks &&
-           s.threadsPerBlock == t.threadsPerBlock &&
-           s.sharedMemPerBlock == t.sharedMemPerBlock &&
-           s.hasCombiner == t.hasCombiner &&
-           s.combinerTransactions == t.combinerTransactions &&
-           s.combinerOps == t.combinerOps &&
-           s.combinerThreads == t.combinerThreads &&
-           s.hasCompaction == t.hasCompaction &&
-           s.compactionTransactions == t.compactionTransactions &&
-           s.compactionOps == t.compactionOps &&
-           s.compactionThreads == t.compactionThreads &&
-           a.queueBuildMs == b.queueBuildMs &&
-           s.hasConsolidation == t.hasConsolidation &&
-           s.queueBuildTransactions == t.queueBuildTransactions &&
-           s.queueBuildOps == t.queueBuildOps &&
-           s.queueBuildThreads == t.queueBuildThreads &&
-           s.consolidationGroups == t.consolidationGroups &&
-           s.consolidationParents == t.consolidationParents &&
-           s.consolidationEntries == t.consolidationEntries &&
-           s.consolidationWaves == t.consolidationWaves &&
-           s.binFill == t.binFill &&
-           s.sampledFraction == t.sampledFraction &&
-           s.siteTraffic == t.siteTraffic;
+    return sameFields(a, b) && sameFields(a.stats, b.stats) &&
+           std::equal(a.stats.siteTraffic.begin(),
+                      a.stats.siteTraffic.end(),
+                      b.stats.siteTraffic.begin(),
+                      b.stats.siteTraffic.end(),
+                      sameFields<SiteTraffic>);
 }
 
 } // namespace npp

@@ -1,5 +1,6 @@
 #include "support/strings.h"
 
+#include <cstdio>
 #include <iomanip>
 
 namespace npp {
@@ -36,6 +37,31 @@ fixed(double v, int precision)
     std::ostringstream os;
     os << std::fixed << std::setprecision(precision) << v;
     return os.str();
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    for (char c : s) {
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace npp

@@ -117,6 +117,11 @@ std::string padRight(const std::string &s, int width);
 /** Format a double with fixed precision. */
 std::string fixed(double v, int precision);
 
+/** Escape a string for embedding inside a JSON string literal: quote,
+ *  backslash, \n, \r and \t get their short escapes, other control
+ *  characters become \u00XX. */
+std::string jsonEscape(const std::string &s);
+
 } // namespace npp
 
 #endif // NPP_SUPPORT_STRINGS_H

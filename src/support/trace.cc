@@ -12,6 +12,7 @@
 
 #include "support/env.h"
 #include "support/logging.h"
+#include "support/strings.h"
 
 namespace npp {
 
@@ -24,31 +25,6 @@ namespace {
  *  sweep over a large figure can emit millions of cache-probe spans).
  *  Long multi-device sweeps can raise it with NPP_TRACE_MAX_SPANS. */
 constexpr int64_t kDefaultMaxSpans = int64_t(1) << 20;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 jsonNumber(double v)

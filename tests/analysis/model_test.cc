@@ -202,26 +202,5 @@ TEST(Autotune, NeverWorseThanScoreSelection)
     EXPECT_LE(maxRelDiff(expect, out), 1e-9);
 }
 
-TEST(Autotune, ResetCallbackRunsPerTrial)
-{
-    Sum s = makeSumRows();
-    const int64_t R = 64, C = 64;
-    std::vector<double> data(R * C, 1.0), out(R, 0.0);
-    Bindings args(*s.prog);
-    args.scalar(s.r, R);
-    args.scalar(s.c, C);
-    args.array(s.m, data);
-    args.array(s.out, out);
-
-    int resets = 0;
-    AutotuneOptions opts;
-    opts.topCandidates = 3;
-    opts.reset = [&] { resets++; };
-    Gpu gpu;
-    AutotuneResult tuned = autotune(*s.prog, gpu, args, {}, opts);
-    EXPECT_EQ(resets, static_cast<int>(tuned.trials.size()) + 1)
-        << "one reset before each trial plus the final restore";
-}
-
 } // namespace
 } // namespace npp

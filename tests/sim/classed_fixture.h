@@ -4,7 +4,8 @@
  * A DiffCase (program + synthetic inputs) is compiled once and executed
  * four ways — full (every-block) and classed metrics-only simulation,
  * each with and without per-site attribution — and the full/classed
- * report pairs are asserted bit-identical field by field. The classing
+ * report pairs are asserted bit-identical row by row (expectSameRows,
+ * also used by the determinism and disk-cache tests). The classing
  * diagnostics (classedBlocks, classReason) are the only fields allowed
  * to differ; the fixture returns the classed report so callers can make
  * assertions about them (classing engaged, or failed for the expected
@@ -24,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,73 +46,40 @@ struct DiffCase
     std::vector<std::pair<Arr, int64_t>> outputs;
 };
 
-/** Field-by-field bitwise comparison of a full-simulation report against
- *  a classed one. Granular EXPECT_EQs so a mismatch names the field that
- *  diverged; the reportsBitIdentical() cross-check guards fields added
- *  to SimReport after this list was written. */
+/** Row-by-row comparison of two reports, driven by the report field
+ *  table: SimReport's rows, its KernelStats' rows and every site's rows,
+ *  each an EXPECT_EQ that names the row on a mismatch. Diagnostic rows
+ *  are compared only when `diagnostics` is set. */
+inline void
+expectSameRows(const SimReport &a, const SimReport &b, bool diagnostics)
+{
+    const auto same = [diagnostics](const auto &x, const auto &y) {
+        visitFields<std::decay_t<decltype(x)>>([&](auto row) {
+            if (diagnostics || row.trait != FieldTrait::Diagnostic) {
+                EXPECT_EQ(x.*row.member, y.*row.member) << row.name;
+            }
+        });
+    };
+    same(a, b);
+    same(a.stats, b.stats);
+    ASSERT_EQ(a.stats.siteTraffic.size(), b.stats.siteTraffic.size());
+    for (size_t i = 0; i < a.stats.siteTraffic.size(); i++) {
+        SCOPED_TRACE("site index " + std::to_string(i));
+        same(a.stats.siteTraffic[i], b.stats.siteTraffic[i]);
+    }
+}
+
+/** Bitwise comparison of a full-simulation report against a classed
+ *  one: every row but the classing diagnostics, plus the
+ *  reportsBitIdentical() verdict itself. */
 inline void
 expectBitIdentical(const SimReport &full, const SimReport &classed,
                    const std::string &what)
 {
     SCOPED_TRACE(what);
-    EXPECT_EQ(full.totalMs, classed.totalMs);
-    EXPECT_EQ(full.computeMs, classed.computeMs);
-    EXPECT_EQ(full.memoryMs, classed.memoryMs);
-    EXPECT_EQ(full.launchMs, classed.launchMs);
-    EXPECT_EQ(full.blockOverheadMs, classed.blockOverheadMs);
-    EXPECT_EQ(full.mallocMs, classed.mallocMs);
-    EXPECT_EQ(full.combinerMs, classed.combinerMs);
-    EXPECT_EQ(full.compactionMs, classed.compactionMs);
-    EXPECT_EQ(full.queueBuildMs, classed.queueBuildMs);
-    EXPECT_EQ(full.achievedBandwidth, classed.achievedBandwidth);
-    EXPECT_EQ(full.residentWarps, classed.residentWarps);
-    EXPECT_EQ(full.blocksPerSM, classed.blocksPerSM);
-    EXPECT_EQ(full.occupancy, classed.occupancy);
-    EXPECT_EQ(full.coalescingEfficiency, classed.coalescingEfficiency);
-
-    const KernelStats &s = full.stats;
-    const KernelStats &t = classed.stats;
-    EXPECT_EQ(s.warpInstructions, t.warpInstructions);
-    EXPECT_EQ(s.transactions, t.transactions);
-    EXPECT_EQ(s.usefulBytes, t.usefulBytes);
-    EXPECT_EQ(s.smemAccesses, t.smemAccesses);
-    EXPECT_EQ(s.syncs, t.syncs);
-    EXPECT_EQ(s.mallocs, t.mallocs);
-    EXPECT_EQ(s.totalBlocks, t.totalBlocks);
-    EXPECT_EQ(s.threadsPerBlock, t.threadsPerBlock);
-    EXPECT_EQ(s.sharedMemPerBlock, t.sharedMemPerBlock);
-    EXPECT_EQ(s.hasCombiner, t.hasCombiner);
-    EXPECT_EQ(s.combinerTransactions, t.combinerTransactions);
-    EXPECT_EQ(s.combinerOps, t.combinerOps);
-    EXPECT_EQ(s.combinerThreads, t.combinerThreads);
-    EXPECT_EQ(s.hasCompaction, t.hasCompaction);
-    EXPECT_EQ(s.compactionTransactions, t.compactionTransactions);
-    EXPECT_EQ(s.compactionOps, t.compactionOps);
-    EXPECT_EQ(s.compactionThreads, t.compactionThreads);
-    EXPECT_EQ(s.hasConsolidation, t.hasConsolidation);
-    EXPECT_EQ(s.queueBuildTransactions, t.queueBuildTransactions);
-    EXPECT_EQ(s.queueBuildOps, t.queueBuildOps);
-    EXPECT_EQ(s.queueBuildThreads, t.queueBuildThreads);
-    EXPECT_EQ(s.consolidationGroups, t.consolidationGroups);
-    EXPECT_EQ(s.consolidationParents, t.consolidationParents);
-    EXPECT_EQ(s.consolidationEntries, t.consolidationEntries);
-    EXPECT_EQ(s.consolidationWaves, t.consolidationWaves);
-    EXPECT_EQ(s.binFill, t.binFill);
-    EXPECT_EQ(s.sampledFraction, t.sampledFraction);
-
-    ASSERT_EQ(s.siteTraffic.size(), t.siteTraffic.size());
-    for (size_t i = 0; i < s.siteTraffic.size(); i++) {
-        SCOPED_TRACE("site index " + std::to_string(i));
-        EXPECT_EQ(s.siteTraffic[i].site, t.siteTraffic[i].site);
-        EXPECT_EQ(s.siteTraffic[i].transactions,
-                  t.siteTraffic[i].transactions);
-        EXPECT_EQ(s.siteTraffic[i].usefulBytes,
-                  t.siteTraffic[i].usefulBytes);
-        EXPECT_EQ(s.siteTraffic[i].accesses, t.siteTraffic[i].accesses);
-    }
-
+    expectSameRows(full, classed, /*diagnostics=*/false);
     EXPECT_TRUE(reportsBitIdentical(full, classed))
-        << "reports differ in a field not covered above";
+        << "reportsBitIdentical disagrees with the row comparison";
 }
 
 /** Run the case once in the given mode. Bindings are rebuilt per run

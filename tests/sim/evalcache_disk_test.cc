@@ -4,10 +4,10 @@
  * entry format, promotion into the memory tier, rejection (never
  * trusting) of truncated / corrupt / wrong-version / renamed files, the
  * byte-accounting fix (entry footprints charge the report's real heap
- * payload, not a flat guess), and the resetCounters fix (evictions
- * reset with the other effectiveness counters). Runs under the `server`
- * ctest label so the asan job covers the deserializer against hostile
- * files.
+ * payload, not a flat guess), the resetCounters fix (evictions reset
+ * with the other effectiveness counters), and a golden test of the
+ * report's JSON export. Runs under the `server` ctest label so the asan
+ * job covers the deserializer against hostile files.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +19,11 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/sums.h"
+#include "classed_fixture.h"
 #include "sim/evalcache.h"
 #include "sim/gpu.h"
 #include "support/rng.h"
@@ -89,67 +91,89 @@ class EvalCacheDiskTest : public ::testing::Test
     int64_t savedCapacity_ = 0;
 };
 
-/** A report with every serialized field set to a distinctive value. */
+/** A report with every table row set to a distinct non-default value
+ *  (bools flipped), plus two sites: a dropped, swapped or mistyped row
+ *  cannot round-trip unnoticed. */
 SimReport
 makeReport()
 {
     SimReport r;
-    r.totalMs = 1.25;
-    r.computeMs = 0.5;
-    r.memoryMs = 0.25;
-    r.launchMs = 0.125;
-    r.blockOverheadMs = 0.0625;
-    r.mallocMs = 0.03125;
-    r.combinerMs = 0.015625;
-    r.compactionMs = 0.0078125;
-    r.achievedBandwidth = 208.0;
-    r.residentWarps = 832.0;
-    r.blocksPerSM = 13;
-    r.occupancy = 0.8125;
-    r.coalescingEfficiency = 0.72544642857142849; // not representable round
-    r.stats.warpInstructions = 9216.0;
-    r.stats.transactions = 1433.6;
-    r.stats.usefulBytes = 133120.0;
-    r.stats.totalBlocks = 32;
-    r.stats.threadsPerBlock = 1024;
-    r.stats.hasCombiner = true;
-    r.stats.combinerThreads = 128;
-    r.stats.classedBlocks = 27;
-    r.stats.classReason = "split span carries cross-block partials";
-    r.stats.siteTraffic = {{3, 100.0, 12800.0, 400.0},
-                           {7, 33.6, 4096.5, 128.0}};
+    int n = 0;
+    const auto fill = [&n](auto &obj) {
+        visitFields<std::decay_t<decltype(obj)>>([&](auto row) {
+            auto &v = obj.*row.member;
+            using T = std::decay_t<decltype(v)>;
+            n++;
+            if constexpr (std::is_same_v<T, bool>)
+                v = !v;
+            else if constexpr (std::is_same_v<T, std::string>)
+                v = "reason " + std::to_string(n) + ": \"q\"\t\n\\";
+            else if constexpr (std::is_same_v<T, double>)
+                v = n + 1.0 / 3.0;
+            else
+                v = 100 + n;
+        });
+    };
+    fill(r);
+    fill(r.stats);
+    r.stats.siteTraffic.resize(2);
+    for (SiteTraffic &st : r.stats.siteTraffic)
+        fill(st);
     return r;
 }
 
+/** Bit-identical replay is the contract (doubles travel as bit
+ *  patterns), so every row — diagnostics included — compares exactly. */
 void
 expectSameReport(const SimReport &a, const SimReport &b)
 {
-    // Bit-identical replay is the contract (doubles travel as bit
-    // patterns), so exact equality — not EXPECT_NEAR — is correct here.
-    EXPECT_EQ(a.totalMs, b.totalMs);
-    EXPECT_EQ(a.computeMs, b.computeMs);
-    EXPECT_EQ(a.memoryMs, b.memoryMs);
-    EXPECT_EQ(a.launchMs, b.launchMs);
-    EXPECT_EQ(a.blockOverheadMs, b.blockOverheadMs);
-    EXPECT_EQ(a.combinerMs, b.combinerMs);
-    EXPECT_EQ(a.coalescingEfficiency, b.coalescingEfficiency);
-    EXPECT_EQ(a.blocksPerSM, b.blocksPerSM);
-    EXPECT_EQ(a.stats.warpInstructions, b.stats.warpInstructions);
-    EXPECT_EQ(a.stats.transactions, b.stats.transactions);
-    EXPECT_EQ(a.stats.totalBlocks, b.stats.totalBlocks);
-    EXPECT_EQ(a.stats.hasCombiner, b.stats.hasCombiner);
-    EXPECT_EQ(a.stats.classedBlocks, b.stats.classedBlocks);
-    EXPECT_EQ(a.stats.classReason, b.stats.classReason);
-    ASSERT_EQ(a.stats.siteTraffic.size(), b.stats.siteTraffic.size());
-    for (size_t i = 0; i < a.stats.siteTraffic.size(); i++) {
-        EXPECT_EQ(a.stats.siteTraffic[i].site, b.stats.siteTraffic[i].site);
-        EXPECT_EQ(a.stats.siteTraffic[i].transactions,
-                  b.stats.siteTraffic[i].transactions);
-        EXPECT_EQ(a.stats.siteTraffic[i].usefulBytes,
-                  b.stats.siteTraffic[i].usefulBytes);
-        EXPECT_EQ(a.stats.siteTraffic[i].accesses,
-                  b.stats.siteTraffic[i].accesses);
-    }
+    difftest::expectSameRows(a, b, /*diagnostics=*/true);
+}
+
+/** The JSON export of makeReport(), byte for byte: pins key order,
+ *  number formatting, string escaping and the derived keys (the serve
+ *  response and the --stats export embed this object as "report"). */
+TEST(ReportJson, MatchesGolden)
+{
+    const char *golden =
+        R"({"total_ms":1.3333333333333333,"compute_ms":2.3333333333333335)"
+        R"(,"memory_ms":3.3333333333333335,"launch_ms":4.333333333333333)"
+        R"(,"block_overhead_ms":5.333333333333333)"
+        R"(,"malloc_ms":6.333333333333333,"combiner_ms":7.333333333333333)"
+        R"(,"compaction_ms":8.3333333333333339)"
+        R"(,"queue_build_ms":9.3333333333333339,"launch_share":3.25)"
+        R"(,"block_overhead_share":4)"
+        R"(,"achieved_bandwidth_gbs":10.333333333333334)"
+        R"(,"resident_warps":11.333333333333334,"blocks_per_sm":112)"
+        R"(,"occupancy":13.333333333333334)"
+        R"(,"coalescing_efficiency":14.333333333333334)"
+        R"(,"coalesce_model":"relative-base-v2")"
+        R"(,"stats":{"warp_instructions":15.333333333333334)"
+        R"(,"transactions":16.333333333333332)"
+        R"(,"useful_bytes":17.333333333333332)"
+        R"(,"smem_accesses":18.333333333333332,"syncs":19.333333333333332)"
+        R"(,"mallocs":20.333333333333332,"total_blocks":121)"
+        R"(,"threads_per_block":122,"shared_mem_per_block":123)"
+        R"(,"has_combiner":true,"combiner_transactions":25.333333333333332)"
+        R"(,"combiner_ops":26.333333333333332,"combiner_threads":127)"
+        R"(,"has_compaction":true)"
+        R"(,"compaction_transactions":29.333333333333332)"
+        R"(,"compaction_ops":30.333333333333332,"compaction_threads":131)"
+        R"(,"has_consolidation":true)"
+        R"(,"queue_build_transactions":33.333333333333336)"
+        R"(,"queue_build_ops":34.333333333333336,"queue_build_threads":135)"
+        R"(,"consolidation_groups":136,"consolidation_parents":137)"
+        R"(,"consolidation_entries":138,"consolidation_waves":139)"
+        R"(,"bin_fill":40.333333333333336)"
+        R"(,"sampled_fraction":41.333333333333336,"classed_blocks":142)"
+        R"(,"class_reason":"reason 43: \"q\"\t\n\\"},"sites":[{"site":144)"
+        R"(,"transactions":45.333333333333336)"
+        R"(,"useful_bytes":46.333333333333336,"accesses":47.333333333333336)"
+        R"(,"coalescing_efficiency":0.0079848345588235288},{"site":148)"
+        R"(,"transactions":49.333333333333336)"
+        R"(,"useful_bytes":50.333333333333336,"accesses":51.333333333333336)"
+        R"(,"coalescing_efficiency":0.0079708614864864857}]})";
+    EXPECT_EQ(makeReport().toJson(), golden);
 }
 
 TEST_F(EvalCacheDiskTest, RoundTripSurvivesMemoryClear)

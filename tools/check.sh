@@ -21,6 +21,11 @@
 #                               # pruned-vs-full sweep differential) in
 #                               # the default AND asan trees
 #   tools/check.sh all          # all four builds, in order
+#   tools/check.sh rows [BASE]  # row identity: build BASE (default HEAD)
+#                               # from `git archive` into build-rows/,
+#                               # then diff the fig12/13/14 --json rows
+#                               # and every demo program's nppc --stats
+#                               # export against the working tree
 #
 # Every ctest invocation runs the full suite, including the classed
 # differential tests (labeled `differential`), the coalescing-model
@@ -47,8 +52,15 @@
 # test creates its own temp
 # NPP_EVAL_CACHE_DIR, so parallel jobs never share cache state.
 #
+# The `rows` job proves a change leaves every result byte-identical: the
+# figure rows (full precision) and the simulator counter export of all
+# seven demo programs, plus spmv under Strategy::Consolidate so the
+# consolidation fields are non-zero. Both trees run with every NPP_*
+# variable unset, so neither can replay the other's disk-cache entries.
+#
 # Each job uses its own build directory (build/, build-asan/,
-# build-tsan/, build-ubsan/) so sanitizer and plain objects never mix.
+# build-tsan/, build-ubsan/, build-rows/) so sanitizer and plain objects
+# never mix.
 # Exits nonzero on the first failing configure, build, or test.
 set -euo pipefail
 
@@ -131,6 +143,41 @@ predict)
     cmake --build build-asan -j
     ctest --test-dir build-asan --output-on-failure -j "$(nproc)" -L predict
     ;;
+rows)
+    base="${2:-HEAD}"
+    rows_dir=build-rows
+    targets=(fig12_rodinia fig13_fixed2d fig14_realworld nppc)
+    echo "== check: rows (${base} in ${rows_dir}/ vs working tree) =="
+    rm -rf "${rows_dir}/src" "${rows_dir}/out"
+    mkdir -p "${rows_dir}/src"
+    git archive "${base}" | tar -x -C "${rows_dir}/src"
+    cmake -B "${rows_dir}/build" -S "${rows_dir}/src"
+    cmake --build "${rows_dir}/build" -j "$(nproc)" --target "${targets[@]}"
+    cmake -B build -S .
+    cmake --build build -j "$(nproc)" --target "${targets[@]}"
+    for var in $(compgen -e | grep '^NPP_' || true); do
+        unset "${var}"
+    done
+    for tree in "base=${rows_dir}/build" "head=build"; do
+        bin="${tree#*=}"
+        out="${rows_dir}/out/${tree%%=*}"
+        mkdir -p "${out}"
+        for fig in fig12_rodinia fig13_fixed2d fig14_realworld; do
+            "${bin}/bench/${fig}" --json="${out}/${fig}.json" >/dev/null
+        done
+        for prog in sumrows sumcols weightedrows weightedcols pagerank \
+            mandelbrot spmv; do
+            "${bin}/tools/nppc" "${prog}" --run \
+                --stats="${out}/${prog}.json" >/dev/null
+        done
+        "${bin}/tools/nppc" spmv --strategy=consolidate --run \
+            --stats="${out}/spmv-consolidate.json" >/dev/null
+    done
+    if ! diff -r "${rows_dir}/out/base" "${rows_dir}/out/head"; then
+        echo "== check: rows differ from ${base} ==" >&2
+        exit 1
+    fi
+    ;;
 all)
     run_job default build
     run_job asan build-asan -DNPP_ASAN=ON
@@ -138,7 +185,7 @@ all)
     run_job ubsan build-ubsan -DNPP_UBSAN=ON
     ;;
 *)
-    echo "usage: tools/check.sh [default|asan|tsan|ubsan|differential|coalesce|server|multidev|dynsize|predict|all]" >&2
+    echo "usage: tools/check.sh [default|asan|tsan|ubsan|differential|coalesce|server|multidev|dynsize|predict|all|rows [BASE]]" >&2
     exit 2
     ;;
 esac

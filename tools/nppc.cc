@@ -401,10 +401,8 @@ main(int argc, char **argv)
         }
     }
     // Seed for cachedRun: identifies how the spec above was produced.
-    const uint64_t specSeed = EvalCache::combine(
-        EvalCache::combine(EvalCache::hashProgram(*demo->prog),
-                           EvalCache::hashCompileOptions(copts)),
-        EvalCache::hashDevice(gpu.config()));
+    const uint64_t specSeed =
+        EvalCache::specSeed(*demo->prog, copts, gpu.config());
 
     // Multi-device sweep: score (deviceCount, splitPoint) by fleet
     // simulation and attach the verdicts to the decision report.
