@@ -6,16 +6,37 @@
 
 namespace npp {
 
-double
-App::runManualMs(const Gpu &)
+AppResult
+App::run(const Gpu &gpu, Strategy strategy, bool validate)
 {
-    NPP_PANIC("{} has no manual implementation", name());
+    CompileOptions copts = hints_;
+    copts.strategy = strategy;
+    Runner runner(gpu, std::move(copts));
+    const std::vector<double> out = hostLoop(runner);
+
+    AppResult result;
+    result.gpuMs = runner.gpuMs;
+    result.transferMs = transferMs(inputBytes_, gpu.config());
+    if (validate) {
+        Runner ref;
+        const std::vector<double> expect = hostLoop(ref);
+        result.referenceWork = ref.work;
+        result.cpuMs = cpuTimeMs(ref.work.computeOps,
+                                 ref.work.bytesRead + ref.work.bytesWritten);
+        result.maxError = absoluteError_
+                              ? maxAbsDiff(expect, out)
+                              : maxRelDiff(expect, out, errorFloor_);
+    }
+    return result;
 }
 
-void
-addLaunch(AppResult &result, const SimReport &report)
+double
+App::runManualMs(const Gpu &gpu)
 {
-    result.gpuMs += report.totalMs;
+    NPP_ASSERT(manual_, "{} has no manual implementation", name());
+    Runner runner(gpu, *manual_);
+    hostLoop(runner);
+    return runner.gpuMs;
 }
 
 double

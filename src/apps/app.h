@@ -11,6 +11,7 @@
 #define NPP_APPS_APP_H
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <string>
 
@@ -39,38 +40,6 @@ struct AppResult
 };
 
 /**
- * Base class for evaluation workloads.
- */
-class App
-{
-  public:
-    virtual ~App() = default;
-
-    virtual std::string name() const = 0;
-
-    /**
-     * Run the full application (all kernels, all host-side iterations)
-     * on the simulated GPU under the given strategy. When `validate` is
-     * set, also run the sequential reference and fill maxError /
-     * referenceWork / cpuMs.
-     */
-    virtual AppResult run(const Gpu &gpu, Strategy strategy,
-                          bool validate = false) = 0;
-
-    /** True if a hand-optimized comparator implementation exists. */
-    virtual bool hasManual() const { return false; }
-
-    /**
-     * Run the hand-optimized (expert CUDA) comparator; returns its model
-     * time in ms. Only valid when hasManual().
-     */
-    virtual double runManualMs(const Gpu &gpu);
-};
-
-/** Accumulate one more kernel launch into a result. */
-void addLaunch(AppResult &result, const SimReport &report);
-
-/**
  * Executes program launches either on the simulated GPU (accumulating
  * model time; compiled specs are cached per program so iterative
  * applications compile once and relaunch) or on the sequential reference
@@ -87,8 +56,6 @@ class Runner
 
     /** Reference mode. */
     Runner() = default;
-
-    bool onGpu() const { return gpu_ != nullptr; }
 
     /** Launch once; returns model ms (0 in reference mode). */
     double launch(const Program &prog, const Bindings &args);
@@ -109,6 +76,69 @@ class Runner
     const Gpu *gpu_ = nullptr;
     CompileOptions copts_;
     std::unordered_map<const Program *, Compiled> cache_;
+};
+
+/**
+ * Base class for evaluation workloads. A subclass builds its programs
+ * and inputs in its constructor, sets the per-instance facts below, and
+ * writes its host-side iteration once as hostLoop(); run() and the
+ * default runManualMs() drive that loop through GPU and reference
+ * Runners.
+ */
+class App
+{
+  public:
+    virtual ~App() = default;
+
+    const std::string &name() const { return name_; }
+
+    /**
+     * Run the full application (all kernels, all host-side iterations)
+     * on the simulated GPU under the given strategy. When `validate` is
+     * set, also run the sequential reference and fill maxError /
+     * referenceWork / cpuMs.
+     */
+    AppResult run(const Gpu &gpu, Strategy strategy, bool validate = false);
+
+    /** True if a hand-optimized comparator implementation exists. */
+    bool hasManual() const { return hasManual_ || manual_.has_value(); }
+
+    /**
+     * Run the hand-optimized (expert CUDA) comparator; returns its model
+     * time in ms. Only valid when hasManual(). The default runs
+     * hostLoop() under the manual_ compile options.
+     */
+    virtual double runManualMs(const Gpu &gpu);
+
+  protected:
+    explicit App(std::string name) : name_(std::move(name)) {}
+
+    /** Launch every kernel of the application through `runner` and
+     *  return the outputs validation compares. */
+    virtual std::vector<double> hostLoop(Runner &runner) = 0;
+
+    /** Size hints (paramValues) and the fusion flag; run() adds the
+     *  strategy. */
+    CompileOptions hints_;
+
+    /** Host-to-device input bytes, charged as AppResult::transferMs. */
+    double inputBytes_ = 0.0;
+
+    /** Validation error rule: maxRelDiff with this floor, or maxAbsDiff
+     *  when absoluteError_ is set. */
+    double errorFloor_ = 1e-12;
+    bool absoluteError_ = false;
+
+    /** Expert compile options of a comparator that runs hostLoop()
+     *  unchanged (raw pointers, the Rodinia kernel's block shape). */
+    std::optional<CompileOptions> manual_;
+
+    /** Set by apps that override runManualMs() instead of setting
+     *  manual_. */
+    bool hasManual_ = false;
+
+  private:
+    std::string name_;
 };
 
 } // namespace npp

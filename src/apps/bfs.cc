@@ -19,7 +19,7 @@ namespace {
 class BfsApp : public App
 {
   public:
-    BfsApp(int64_t nodes, int avgDegree) : n(nodes)
+    BfsApp(int64_t nodes, int avgDegree) : App("BFS"), n(nodes)
     {
         // Random graph with skewed degrees (half the average for most
         // nodes, a heavy tail for a few).
@@ -34,52 +34,14 @@ class BfsApp : public App
             rowStart.push_back(static_cast<double>(nbrs.size()));
         }
         build();
-    }
-
-    std::string name() const override { return "BFS"; }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {{nParam.ref()->varId,
-                              static_cast<double>(n)}};
-
-        Runner runner(gpu, copts);
-        std::vector<double> cost = hostLoop(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs = transferMs(
-            static_cast<double>(rowStart.size() + nbrs.size()) * 8,
-            gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect = hostLoop(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxAbsDiff(expect, cost);
-        }
-        return result;
-    }
-
-    bool hasManual() const override { return true; }
-
-    double
-    runManualMs(const Gpu &gpu) override
-    {
+        hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
+        inputBytes_ = static_cast<double>(rowStart.size() + nbrs.size()) * 8;
+        absoluteError_ = true;
         // The Rodinia kernel only exploits the top-level parallelism
         // (Section VI-C) — the 1D mapping with raw pointers.
-        CompileOptions copts;
-        copts.strategy = Strategy::OneD;
-        copts.rawPointers = true;
-        copts.paramValues = {{nParam.ref()->varId,
-                              static_cast<double>(n)}};
-        Runner runner(gpu, copts);
-        hostLoop(runner);
-        return runner.gpuMs;
+        manual_ = hints_;
+        manual_->strategy = Strategy::OneD;
+        manual_->rawPointers = true;
     }
 
   private:
@@ -116,7 +78,7 @@ class BfsApp : public App
     }
 
     std::vector<double>
-    hostLoop(Runner &runner)
+    hostLoop(Runner &runner) override
     {
         std::vector<double> frontier(n, 0.0), next(n, 0.0);
         std::vector<double> visited(n, 0.0), cost(n, 0.0);

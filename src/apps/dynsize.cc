@@ -148,21 +148,4 @@ BfsFrontierProgram::bind(CsrMatrix &g, std::vector<double> &frontier,
     return args;
 }
 
-std::vector<double>
-spmvHost(const CsrMatrix &m, const std::vector<double> &x)
-{
-    std::vector<double> y(m.rows, 0.0);
-    for (int64_t r = 0; r < m.rows; r++) {
-        const int64_t lo = static_cast<int64_t>(m.rowStart[r]);
-        const int64_t hi = static_cast<int64_t>(m.rowStart[r + 1]);
-        double acc = 0.0;
-        for (int64_t k = lo; k < hi; k++) {
-            acc += m.vals[k] *
-                   x[static_cast<size_t>(m.cols[k])];
-        }
-        y[r] = acc;
-    }
-    return y;
-}
-
 } // namespace npp

@@ -87,11 +87,6 @@ struct BfsFrontierProgram
 
 BfsFrontierProgram buildBfsFrontier();
 
-/** Reference SpMV on the host (row-major accumulation order — the same
- *  order the reference interpreter and the consolidated queue use). */
-std::vector<double> spmvHost(const CsrMatrix &m,
-                             const std::vector<double> &x);
-
 } // namespace npp
 
 #endif // NPP_APPS_DYNSIZE_H

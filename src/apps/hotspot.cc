@@ -17,7 +17,8 @@ class HotspotApp : public App
 {
   public:
     HotspotApp(int64_t n, int iterations, bool colMajor)
-        : n(n), iterations(iterations), colMajor(colMajor)
+        : App(colMajor ? "Hotspot(C)" : "Hotspot(R)"), n(n),
+          iterations(iterations), colMajor(colMajor)
     {
         Rng rng(73);
         temp0.resize(n * n);
@@ -27,58 +28,16 @@ class HotspotApp : public App
         for (auto &p : power)
             p = rng.uniform(0, 1e-3);
         build();
-    }
-
-    std::string
-    name() const override
-    {
-        return colMajor ? "Hotspot(C)" : "Hotspot(R)";
-    }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {{nParam.ref()->varId,
-                              static_cast<double>(n)}};
-
-        Runner runner(gpu, copts);
-        std::vector<double> out = hostLoop(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs = transferMs(
-            static_cast<double>(n) * n * 2 * 8, gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect = hostLoop(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, out);
-        }
-        return result;
-    }
-
-    bool hasManual() const override { return true; }
-
-    double
-    runManualMs(const Gpu &gpu) override
-    {
+        hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
+        inputBytes_ = static_cast<double>(n) * n * 2 * 8;
         // The Rodinia kernel uses a 16x16 2D block, raw pointers. (Its
         // pyramidal multi-iteration fusion is small-scale; the dominant
         // behavior is the coalesced 2D stencil.)
-        CompileOptions copts;
-        copts.strategy = Strategy::Fixed;
-        copts.fixedMapping.levels = {{1, 8, SpanType::one()},
-                                     {0, 32, SpanType::one()}};
-        copts.rawPointers = true;
-        copts.paramValues = {{nParam.ref()->varId,
-                              static_cast<double>(n)}};
-        Runner runner(gpu, copts);
-        hostLoop(runner);
-        return runner.gpuMs;
+        manual_ = hints_;
+        manual_->strategy = Strategy::Fixed;
+        manual_->fixedMapping.levels = {{1, 8, SpanType::one()},
+                                        {0, 32, SpanType::one()}};
+        manual_->rawPointers = true;
     }
 
   private:
@@ -126,7 +85,7 @@ class HotspotApp : public App
     }
 
     std::vector<double>
-    hostLoop(Runner &runner)
+    hostLoop(Runner &runner) override
     {
         std::vector<double> a = temp0;
         std::vector<double> c(n * n, 0.0);

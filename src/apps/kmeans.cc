@@ -19,7 +19,8 @@ class KmeansApp : public App
   public:
     KmeansApp(int64_t points, int64_t clusters, int64_t features,
               int iterations)
-        : p(points), k(clusters), f(features), iterations(iterations)
+        : App("KMeans"), p(points), k(clusters), f(features),
+          iterations(iterations)
     {
         Rng rng(67);
         x.resize(p * f);
@@ -35,36 +36,11 @@ class KmeansApp : public App
         buildAssign();
         buildSums();
         buildCounts();
-    }
-
-    std::string name() const override { return "KMeans"; }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {
-            {aP.ref()->varId, static_cast<double>(p)},
-            {aK.ref()->varId, static_cast<double>(k)},
-            {aF.ref()->varId, static_cast<double>(f)}};
-
-        Runner runner(gpu, copts);
-        std::vector<double> centers = hostLoop(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs =
-            transferMs(static_cast<double>(p) * f * 8, gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect = hostLoop(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, centers, 1e-9);
-        }
-        return result;
+        hints_.paramValues = {{aP.ref()->varId, static_cast<double>(p)},
+                              {aK.ref()->varId, static_cast<double>(k)},
+                              {aF.ref()->varId, static_cast<double>(f)}};
+        inputBytes_ = static_cast<double>(p) * f * 8;
+        errorFloor_ = 1e-9;
     }
 
   private:
@@ -144,7 +120,7 @@ class KmeansApp : public App
     }
 
     std::vector<double>
-    hostLoop(Runner &runner)
+    hostLoop(Runner &runner) override
     {
         std::vector<double> centers(k * f, 0.0);
         // Deterministic init: first k points.

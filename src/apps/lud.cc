@@ -20,7 +20,7 @@ namespace {
 class LudApp : public App
 {
   public:
-    explicit LudApp(int64_t n) : n(n)
+    explicit LudApp(int64_t n) : App("LUD"), n(n)
     {
         Rng rng(83);
         a0.resize(n * n);
@@ -32,35 +32,10 @@ class LudApp : public App
         }
         buildScale();
         buildUpdate();
+        inputBytes_ = static_cast<double>(n) * n * 8;
+        errorFloor_ = 1e-6;
+        hasManual_ = true;
     }
-
-    std::string name() const override { return "LUD"; }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-
-        Runner runner(gpu, copts);
-        std::vector<double> out = hostLoop(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs =
-            transferMs(static_cast<double>(n) * n * 8, gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect = hostLoop(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, out, 1e-6);
-        }
-        return result;
-    }
-
-    bool hasManual() const override { return true; }
 
     double
     runManualMs(const Gpu &gpu) override
@@ -137,7 +112,7 @@ class LudApp : public App
     }
 
     std::vector<double>
-    hostLoop(Runner &runner)
+    hostLoop(Runner &runner) override
     {
         std::vector<double> a = a0;
         for (int64_t k = 0; k + 1 < n; k++) {

@@ -17,63 +17,18 @@ class MandelbrotApp : public App
   public:
     MandelbrotApp(int64_t height, int64_t width, int maxIter,
                   bool colMajor)
-        : h(height), w(width), maxIter(maxIter), colMajor(colMajor)
+        : App(colMajor ? "Mandelbrot(C)" : "Mandelbrot(R)"), h(height),
+          w(width), maxIter(maxIter), colMajor(colMajor)
     {
         build();
-    }
-
-    std::string
-    name() const override
-    {
-        return colMajor ? "Mandelbrot(C)" : "Mandelbrot(R)";
-    }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {
-            {hParam.ref()->varId, static_cast<double>(h)},
-            {wParam.ref()->varId, static_cast<double>(w)}};
-
-        std::vector<double> img(h * w, 0.0);
-        Runner runner(gpu, copts);
-        launchOnce(runner, img);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs = transferMs(0, gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect(h * w, 0.0);
-            launchOnce(ref, expect);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, img);
-        }
-        return result;
-    }
-
-    bool hasManual() const override { return true; }
-
-    double
-    runManualMs(const Gpu &gpu) override
-    {
+        hints_.paramValues = {{hParam.ref()->varId, static_cast<double>(h)},
+                              {wParam.ref()->varId, static_cast<double>(w)}};
         // Expert CUDA: 2D block (64, 4), raw pointers.
-        CompileOptions copts;
-        copts.strategy = Strategy::Fixed;
-        copts.fixedMapping.levels = {{1, 4, SpanType::one()},
-                                     {0, 64, SpanType::one()}};
-        copts.rawPointers = true;
-        copts.paramValues = {
-            {hParam.ref()->varId, static_cast<double>(h)},
-            {wParam.ref()->varId, static_cast<double>(w)}};
-        std::vector<double> img(h * w, 0.0);
-        Runner runner(gpu, copts);
-        launchOnce(runner, img);
-        return runner.gpuMs;
+        manual_ = hints_;
+        manual_->strategy = Strategy::Fixed;
+        manual_->fixedMapping.levels = {{1, 4, SpanType::one()},
+                                        {0, 64, SpanType::one()}};
+        manual_->rawPointers = true;
     }
 
   private:
@@ -124,14 +79,16 @@ class MandelbrotApp : public App
         prog = std::make_shared<Program>(b.build());
     }
 
-    void
-    launchOnce(Runner &runner, std::vector<double> &img)
+    std::vector<double>
+    hostLoop(Runner &runner) override
     {
+        std::vector<double> img(h * w, 0.0);
         Bindings args(*prog);
         args.scalar(hParam, static_cast<double>(h));
         args.scalar(wParam, static_cast<double>(w));
         args.array(outArr, img);
         runner.launch(*prog, args);
+        return img;
     }
 
     int64_t h, w;

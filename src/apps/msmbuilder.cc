@@ -19,7 +19,7 @@ class MsmBuilderApp : public App
 {
   public:
     MsmBuilderApp(int64_t frames, int64_t clusters, int64_t features)
-        : n(frames), k(clusters), f(features)
+        : App("MSMBuilder"), n(frames), k(clusters), f(features)
     {
         Rng rng(29);
         x.resize(n * f);
@@ -29,36 +29,11 @@ class MsmBuilderApp : public App
         for (auto &v : c)
             v = rng.uniform(-1, 1);
         build();
-    }
-
-    std::string name() const override { return "MSMBuilder"; }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {
-            {nParam.ref()->varId, static_cast<double>(n)},
-            {kParam.ref()->varId, static_cast<double>(k)},
-            {fParam.ref()->varId, static_cast<double>(f)}};
-
-        Runner runner(gpu, copts);
-        std::vector<double> dist = launchOnce(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs = transferMs(
-            static_cast<double>(n + k) * f * 8, gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect = launchOnce(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, dist, 1e-9);
-        }
-        return result;
+        hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)},
+                              {kParam.ref()->varId, static_cast<double>(k)},
+                              {fParam.ref()->varId, static_cast<double>(f)}};
+        inputBytes_ = static_cast<double>(n + k) * f * 8;
+        errorFloor_ = 1e-9;
     }
 
   private:
@@ -89,7 +64,7 @@ class MsmBuilderApp : public App
     }
 
     std::vector<double>
-    launchOnce(Runner &runner)
+    hostLoop(Runner &runner) override
     {
         std::vector<double> dist(n * k, 0.0);
         Bindings args(*prog);

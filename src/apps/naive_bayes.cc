@@ -18,7 +18,8 @@ namespace {
 class NaiveBayesApp : public App
 {
   public:
-    NaiveBayesApp(int64_t docs, int64_t words) : d(docs), w(words)
+    NaiveBayesApp(int64_t docs, int64_t words)
+        : App("NaiveBayes"), d(docs), w(words)
     {
         Rng rng(37);
         counts.resize(d * w);
@@ -29,46 +30,12 @@ class NaiveBayesApp : public App
             v = rng.below(2) ? 1.0 : 0.0;
         buildDocTotals();
         buildWordClassCounts();
-    }
-
-    std::string name() const override { return "NaiveBayes"; }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {
-            {dParam1.ref()->varId, static_cast<double>(d)},
-            {wParam1.ref()->varId, static_cast<double>(w)}};
-
-        Runner runner(gpu, copts);
-        Outputs out = hostRun(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs = transferMs(
-            static_cast<double>(d) * w * 8 + d * 8, gpu.config());
-        if (validate) {
-            Runner ref;
-            Outputs expect = hostRun(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = std::max(
-                maxRelDiff(expect.docTotals, out.docTotals),
-                maxRelDiff(expect.spamPerWord, out.spamPerWord));
-        }
-        return result;
+        hints_.paramValues = {{dParam1.ref()->varId, static_cast<double>(d)},
+                              {wParam1.ref()->varId, static_cast<double>(w)}};
+        inputBytes_ = static_cast<double>(d) * w * 8 + d * 8;
     }
 
   private:
-    struct Outputs
-    {
-        std::vector<double> docTotals;
-        std::vector<double> spamPerWord;
-    };
-
     void
     buildDocTotals()
     {
@@ -109,18 +76,17 @@ class NaiveBayesApp : public App
         wordClass = std::make_shared<Program>(b.build());
     }
 
-    Outputs
-    hostRun(Runner &runner)
+    /** The document totals followed by the per-word spam counts. */
+    std::vector<double>
+    hostLoop(Runner &runner) override
     {
-        Outputs out;
-        out.docTotals.assign(d, 0.0);
-        out.spamPerWord.assign(w, 0.0);
+        std::vector<double> totals(d, 0.0), spamPerWord(w, 0.0);
         {
             Bindings args(*docTotals);
             args.scalar(dParam1, static_cast<double>(d));
             args.scalar(wParam1, static_cast<double>(w));
             args.array(dtCounts, counts);
-            args.array(dtOut, out.docTotals);
+            args.array(dtOut, totals);
             runner.launch(*docTotals, args);
         }
         {
@@ -129,10 +95,11 @@ class NaiveBayesApp : public App
             args.scalar(wParam2, static_cast<double>(w));
             args.array(wcCounts, counts);
             args.array(wcSpam, isSpam);
-            args.array(wcOut, out.spamPerWord);
+            args.array(wcOut, spamPerWord);
             runner.launch(*wordClass, args);
         }
-        return out;
+        totals.insert(totals.end(), spamPerWord.begin(), spamPerWord.end());
+        return totals;
     }
 
     int64_t d, w;

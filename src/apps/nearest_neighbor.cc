@@ -16,7 +16,8 @@ namespace {
 class NearestNeighborApp : public App
 {
   public:
-    explicit NearestNeighborApp(int64_t records) : n(records)
+    explicit NearestNeighborApp(int64_t records)
+        : App("NearestNeighbor"), n(records)
     {
         Rng rng(101);
         lat.resize(n);
@@ -26,54 +27,12 @@ class NearestNeighborApp : public App
             lng[i] = rng.uniform(0, 180);
         }
         build();
-    }
-
-    std::string name() const override { return "NearestNeighbor"; }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {{nParam.ref()->varId,
-                              static_cast<double>(n)}};
-
-        std::vector<double> dist(n, 0.0);
-        Runner runner(gpu, copts);
-        launchOnce(runner, dist);
-        result.gpuMs = runner.gpuMs;
-
-        result.transferMs =
-            transferMs(static_cast<double>(n) * 2 * 8, gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect(n, 0.0);
-            launchOnce(ref, expect);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, dist);
-        }
-        return result;
-    }
-
-    bool hasManual() const override { return true; }
-
-    double
-    runManualMs(const Gpu &gpu) override
-    {
+        hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
+        inputBytes_ = static_cast<double>(n) * 2 * 8;
         // The Rodinia kernel: same mapping class, raw pointers.
-        CompileOptions copts;
-        copts.strategy = Strategy::MultiDim;
-        copts.rawPointers = true;
-        copts.paramValues = {{nParam.ref()->varId,
-                              static_cast<double>(n)}};
-        std::vector<double> dist(n, 0.0);
-        Runner runner(gpu, copts);
-        launchOnce(runner, dist);
-        return runner.gpuMs;
+        manual_ = hints_;
+        manual_->strategy = Strategy::MultiDim;
+        manual_->rawPointers = true;
     }
 
   private:
@@ -97,9 +56,10 @@ class NearestNeighborApp : public App
         prog = std::make_shared<Program>(b.build());
     }
 
-    double
-    launchOnce(Runner &runner, std::vector<double> &dist)
+    std::vector<double>
+    hostLoop(Runner &runner) override
     {
+        std::vector<double> dist(n, 0.0);
         Bindings args(*prog);
         args.scalar(nParam, static_cast<double>(n));
         args.scalar(targetLat, 30.0);
@@ -107,7 +67,8 @@ class NearestNeighborApp : public App
         args.array(latArr, lat);
         args.array(lngArr, lng);
         args.array(distArr, dist);
-        return runner.launch(*prog, args);
+        runner.launch(*prog, args);
+        return dist;
     }
 
     int64_t n;

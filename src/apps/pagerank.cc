@@ -17,7 +17,7 @@ class PageRankApp : public App
 {
   public:
     PageRankApp(int64_t nodes, int avgDegree, int iterations)
-        : n(nodes), iterations(iterations)
+        : App("PageRank"), n(nodes), iterations(iterations)
     {
         Rng rng(47);
         rowStart.push_back(0);
@@ -34,39 +34,14 @@ class PageRankApp : public App
         for (auto &dg : degree)
             dg = std::max(dg, 1.0);
         build();
-    }
-
-    std::string name() const override { return "PageRank"; }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
         // The production pipeline fuses Fig 5's nbrsWeights map into the
         // reduce — without it every node pays a device malloc for its
         // dynamically sized weight array.
-        copts.fuseMapReduce = true;
-        copts.paramValues = {{nParam.ref()->varId,
-                              static_cast<double>(n)}};
-
-        Runner runner(gpu, copts);
-        std::vector<double> ranks = hostLoop(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs = transferMs(
-            static_cast<double>(rowStart.size() + nbrs.size() + n) * 8,
-            gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect = hostLoop(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, ranks, 1e-9);
-        }
-        return result;
+        hints_.fuseMapReduce = true;
+        hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
+        inputBytes_ =
+            static_cast<double>(rowStart.size() + nbrs.size() + n) * 8;
+        errorFloor_ = 1e-9;
     }
 
   private:
@@ -100,7 +75,7 @@ class PageRankApp : public App
     }
 
     std::vector<double>
-    hostLoop(Runner &runner)
+    hostLoop(Runner &runner) override
     {
         std::vector<double> prev(n, 1.0 / static_cast<double>(n));
         std::vector<double> next(n, 0.0);

@@ -27,44 +27,19 @@ constexpr int64_t kTile = 64;
 class PathfinderApp : public App
 {
   public:
-    PathfinderApp(int64_t rows, int64_t cols) : rows(rows), cols(cols)
+    PathfinderApp(int64_t rows, int64_t cols)
+        : App("Pathfinder"), rows(rows), cols(cols)
     {
         Rng rng(17);
         wall.resize(rows * cols);
         for (auto &w : wall)
             w = static_cast<double>(rng.below(10));
         build();
+        hints_.paramValues = {{cParam.ref()->varId,
+                               static_cast<double>(cols)}};
+        inputBytes_ = static_cast<double>(rows) * cols * 8;
+        hasManual_ = true;
     }
-
-    std::string name() const override { return "Pathfinder"; }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {{cParam.ref()->varId,
-                              static_cast<double>(cols)}};
-
-        Runner runner(gpu, copts);
-        std::vector<double> out = hostLoop(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs = transferMs(
-            static_cast<double>(rows) * cols * 8, gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect = hostLoop(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, out);
-        }
-        return result;
-    }
-
-    bool hasManual() const override { return true; }
 
     double
     runManualMs(const Gpu &gpu) override
@@ -129,7 +104,7 @@ class PathfinderApp : public App
     }
 
     std::vector<double>
-    hostLoop(Runner &runner)
+    hostLoop(Runner &runner) override
     {
         std::vector<double> src(wall.begin(), wall.begin() + cols);
         std::vector<double> dst(cols, 0.0);

@@ -20,7 +20,7 @@ class QpscdApp : public App
 {
   public:
     QpscdApp(int64_t samples, int64_t dim, int epochs)
-        : s(samples), d(dim), epochs(epochs)
+        : App("QPSCD HogWild"), s(samples), d(dim), epochs(epochs)
     {
         Rng rng(19);
         a.resize(s * d);
@@ -33,35 +33,10 @@ class QpscdApp : public App
         for (int64_t i = 0; i < s; i++)
             perm[i] = static_cast<double>((i * 2654435761u) % s);
         build();
-    }
-
-    std::string name() const override { return "QPSCD HogWild"; }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {
-            {sParam.ref()->varId, static_cast<double>(s)},
-            {dParam.ref()->varId, static_cast<double>(d)}};
-
-        Runner runner(gpu, copts);
-        std::vector<double> x = hostLoop(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs = transferMs(
-            static_cast<double>(s) * d * 8, gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect = hostLoop(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, x, 1e-6);
-        }
-        return result;
+        hints_.paramValues = {{sParam.ref()->varId, static_cast<double>(s)},
+                              {dParam.ref()->varId, static_cast<double>(d)}};
+        inputBytes_ = static_cast<double>(s) * d * 8;
+        errorFloor_ = 1e-6;
     }
 
   private:
@@ -92,7 +67,7 @@ class QpscdApp : public App
     }
 
     std::vector<double>
-    hostLoop(Runner &runner)
+    hostLoop(Runner &runner) override
     {
         std::vector<double> x(d, 0.0);
         for (int e = 0; e < epochs; e++) {

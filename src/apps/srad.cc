@@ -18,7 +18,8 @@ class SradApp : public App
 {
   public:
     SradApp(int64_t n, int iterations, bool colMajor)
-        : n(n), iterations(iterations), colMajor(colMajor)
+        : App(colMajor ? "Srad(C)" : "Srad(R)"), n(n),
+          iterations(iterations), colMajor(colMajor)
     {
         Rng rng(59);
         image0.resize(n * n);
@@ -26,55 +27,13 @@ class SradApp : public App
             v = rng.uniform(1, 2);
         buildCoeff();
         buildUpdate();
-    }
-
-    std::string
-    name() const override
-    {
-        return colMajor ? "Srad(C)" : "Srad(R)";
-    }
-
-    AppResult
-    run(const Gpu &gpu, Strategy strategy, bool validate) override
-    {
-        AppResult result;
-        CompileOptions copts;
-        copts.strategy = strategy;
-        copts.paramValues = {{nCoeff.ref()->varId,
-                              static_cast<double>(n)}};
-
-        Runner runner(gpu, copts);
-        std::vector<double> out = hostLoop(runner);
-        result.gpuMs = runner.gpuMs;
-        result.transferMs =
-            transferMs(static_cast<double>(n) * n * 8, gpu.config());
-        if (validate) {
-            Runner ref;
-            std::vector<double> expect = hostLoop(ref);
-            result.referenceWork = ref.work;
-            result.cpuMs = cpuTimeMs(ref.work.computeOps,
-                                     ref.work.bytesRead +
-                                         ref.work.bytesWritten);
-            result.maxError = maxRelDiff(expect, out);
-        }
-        return result;
-    }
-
-    bool hasManual() const override { return true; }
-
-    double
-    runManualMs(const Gpu &gpu) override
-    {
-        CompileOptions copts;
-        copts.strategy = Strategy::Fixed;
-        copts.fixedMapping.levels = {{1, 8, SpanType::one()},
-                                     {0, 32, SpanType::one()}};
-        copts.rawPointers = true;
-        copts.paramValues = {{nCoeff.ref()->varId,
-                              static_cast<double>(n)}};
-        Runner runner(gpu, copts);
-        hostLoop(runner);
-        return runner.gpuMs;
+        hints_.paramValues = {{nCoeff.ref()->varId, static_cast<double>(n)}};
+        inputBytes_ = static_cast<double>(n) * n * 8;
+        manual_ = hints_;
+        manual_->strategy = Strategy::Fixed;
+        manual_->fixedMapping.levels = {{1, 8, SpanType::one()},
+                                        {0, 32, SpanType::one()}};
+        manual_->rawPointers = true;
     }
 
   private:
@@ -166,7 +125,7 @@ class SradApp : public App
     }
 
     std::vector<double>
-    hostLoop(Runner &runner)
+    hostLoop(Runner &runner) override
     {
         std::vector<double> img = image0;
         std::vector<double> c(n * n, 0.0);

@@ -42,7 +42,6 @@ class Program
     const Pattern &root() const;
     Pattern &root();
     void setRoot(PatternPtr root) { root_ = std::move(root); }
-    bool hasRoot() const { return root_ != nullptr; }
 
     /** Array param receiving the root pattern's yields (-1 for Foreach). */
     int rootOutput() const { return rootOutput_; }

@@ -18,18 +18,4 @@ cudaTypeName(ScalarKind kind)
     NPP_PANIC("unknown scalar kind");
 }
 
-std::string
-scalarKindName(ScalarKind kind)
-{
-    switch (kind) {
-      case ScalarKind::F64:
-        return "f64";
-      case ScalarKind::I64:
-        return "i64";
-      case ScalarKind::Bool:
-        return "bool";
-    }
-    NPP_PANIC("unknown scalar kind");
-}
-
 } // namespace npp

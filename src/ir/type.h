@@ -23,9 +23,6 @@ enum class ScalarKind {
 /** CUDA type spelling for a scalar kind. */
 std::string cudaTypeName(ScalarKind kind);
 
-/** Human-readable name for a scalar kind. */
-std::string scalarKindName(ScalarKind kind);
-
 /** Size in bytes of one element of the given kind in device memory.
  *  Inline: the evaluator calls it on every probed array access. */
 inline int

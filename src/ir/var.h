@@ -38,9 +38,6 @@ struct VarInfo
     bool isMutable = false;
 };
 
-/** Human-readable role name for diagnostics. */
-std::string varRoleName(VarRole role);
-
 } // namespace npp
 
 #endif // NPP_IR_VAR_H

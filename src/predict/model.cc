@@ -1,14 +1,10 @@
 #include "predict/model.h"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
+#include "support/binfile.h"
 #include "support/logging.h"
 #include "support/strings.h"
 
@@ -16,88 +12,7 @@ namespace npp {
 
 namespace {
 
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t
-fnvBytes(const void *data, size_t n, uint64_t h = kFnvBasis)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; i++) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 constexpr char kModelMagic[8] = {'N', 'P', 'P', 'P', 'R', 'D', '1', '\n'};
-
-void
-putF64(std::string &buf, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    buf.append(reinterpret_cast<const char *>(&bits), sizeof bits);
-}
-
-void
-putU64(std::string &buf, uint64_t v)
-{
-    buf.append(reinterpret_cast<const char *>(&v), sizeof v);
-}
-
-void
-putU32(std::string &buf, uint32_t v)
-{
-    buf.append(reinterpret_cast<const char *>(&v), sizeof v);
-}
-
-/** Bounds-checked reader: overruns latch ok=false (same discipline as
- *  the eval cache's ByteReader). */
-struct Reader
-{
-    const char *p;
-    size_t n;
-    size_t off = 0;
-    bool ok = true;
-
-    bool
-    take(void *out, size_t count)
-    {
-        if (!ok || n - off < count) {
-            ok = false;
-            return false;
-        }
-        std::memcpy(out, p + off, count);
-        off += count;
-        return true;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        take(&v, sizeof v);
-        return v;
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        take(&v, sizeof v);
-        return v;
-    }
-
-    double
-    f64()
-    {
-        const uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof v);
-        return v;
-    }
-};
 
 /** Solve A x = b in place (A symmetric positive definite after the
  *  ridge term; partial-pivot Gaussian elimination for safety). Returns
@@ -222,75 +137,35 @@ trainPredictModel(const std::vector<PredictSample> &samples, double lambda)
 bool
 savePredictModel(const PredictModel &model, const std::string &path)
 {
-    std::string payload;
-    putU64(payload, model.trainedSamples);
-    putF64(payload, model.ridgeLambda);
-    putF64(payload, model.intercept);
+    ByteWriter payload;
+    payload.u64(model.trainedSamples);
+    payload.f64(model.ridgeLambda);
+    payload.f64(model.intercept);
     for (int j = 0; j < kPredictFeatureCount; j++)
-        putF64(payload, model.mean[j]);
+        payload.f64(model.mean[j]);
     for (int j = 0; j < kPredictFeatureCount; j++)
-        putF64(payload, model.scale[j]);
+        payload.f64(model.scale[j]);
     for (int j = 0; j < kPredictFeatureCount; j++)
-        putF64(payload, model.weights[j]);
+        payload.f64(model.weights[j]);
 
-    std::string header;
-    header.append(kModelMagic, sizeof kModelMagic);
-    putU32(header, kPredictModelFormatVersion);
-    putU32(header, model.featureVersion);
-    putU32(header, kPredictFeatureCount);
-    putU64(header, payload.size());
-    putU64(header, fnvBytes(payload.data(), payload.size()));
-
-    const size_t slash = path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash);
-    std::string tmpPath = dir + "/.nppmodel.XXXXXX";
-    const int fd = ::mkstemp(tmpPath.data());
-    if (fd < 0) {
-        NPP_WARN("predict model: cannot create temp file in {} ({})", dir,
-                 std::strerror(errno));
-        return false;
-    }
-    const std::string all = header + payload;
-    size_t off = 0;
-    bool wrote = true;
-    while (off < all.size()) {
-        const ssize_t w = ::write(fd, all.data() + off, all.size() - off);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            wrote = false;
-            break;
-        }
-        off += static_cast<size_t>(w);
-    }
-    ::close(fd);
-    if (!wrote || std::rename(tmpPath.c_str(), path.c_str()) != 0) {
-        NPP_WARN("predict model: cannot write {} ({})", path,
-                 std::strerror(errno));
-        ::unlink(tmpPath.c_str());
-        return false;
-    }
-    return true;
+    ByteWriter header;
+    header.buf.append(kModelMagic, sizeof kModelMagic);
+    header.u32(kPredictModelFormatVersion);
+    header.u32(model.featureVersion);
+    header.u32(kPredictFeatureCount);
+    header.u64(payload.buf.size());
+    header.u64(fnvBytes(payload.buf.data(), payload.buf.size()));
+    return writeFileAtomic(path, {header.buf, payload.buf}, "predict model");
 }
 
 std::optional<PredictModel>
 loadPredictModel(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return std::nullopt;
     std::string data;
-    char buf[1 << 16];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-        data.append(buf, got);
-    const bool readErr = std::ferror(f) != 0;
-    std::fclose(f);
-    if (readErr)
+    if (readWholeFile(path, &data) != FileRead::Ok)
         return std::nullopt;
 
-    Reader r{data.data(), data.size()};
+    ByteReader r{data.data(), data.size()};
     char magic[sizeof kModelMagic];
     if (!r.take(magic, sizeof magic) ||
         std::memcmp(magic, kModelMagic, sizeof magic) != 0)

@@ -37,8 +37,6 @@ predictOptionsFromEnv()
 {
     PredictOptions opts;
     opts.enabled = parseEnvBool("NPP_PREDICT", false);
-    opts.topK = static_cast<int>(parseEnvInt(
-        "NPP_PREDICT_TOPK", kPredictDefaultTopK, 1, kPredictUniverse));
     opts.sampleDir = parseEnvString("NPP_PREDICT_DIR");
     const std::string defaultModel =
         opts.sampleDir.empty() ? std::string()
@@ -280,9 +278,10 @@ PredictRuntime::setModel(std::optional<PredictModel> model)
 void
 PredictRuntime::setEnabled(bool on, int topK)
 {
+    NPP_ASSERT(topK == kPredictDefaultTopK, "top-k {} is not {}", topK,
+               kPredictDefaultTopK);
     std::lock_guard<std::mutex> lock(gRuntimeMutex);
     opts_.enabled = on;
-    opts_.topK = std::max(1, std::min(topK, kPredictUniverse));
 }
 
 bool
@@ -306,19 +305,18 @@ PredictRuntime::sweep(const Gpu &gpu, const Program &prog,
                       const Bindings &args, const CompileOptions &base)
 {
     bool enabled;
-    int topK;
     // Snapshot the model by value: predictiveSweep runs long, and a
     // concurrent setModel must not invalidate the pointer mid-sweep.
     std::optional<PredictModel> model;
     {
         std::lock_guard<std::mutex> lock(gRuntimeMutex);
         enabled = opts_.enabled;
-        topK = opts_.topK;
         if (enabled)
             model = model_;
     }
     PredictSweep result = predictiveSweep(
-        gpu, prog, args, base, model ? &*model : nullptr, topK);
+        gpu, prog, args, base, model ? &*model : nullptr,
+        kPredictDefaultTopK);
     if (!enabled && !result.usedModel)
         result.fallbackReason = "predictor disabled";
     {
@@ -341,7 +339,6 @@ PredictRuntime::stats() const
     {
         std::lock_guard<std::mutex> lock(gRuntimeMutex);
         s.enabled = opts_.enabled;
-        s.topK = opts_.topK;
         if (model_) {
             s.modelVersion = model_->featureVersion;
             s.modelSamples = model_->trainedSamples;
@@ -372,7 +369,7 @@ predictStatsJson()
     os << "{\"enabled\":" << (s.enabled ? "true" : "false");
     os << ",\"predict_model_version\":" << s.modelVersion;
     os << ",\"model_samples\":" << s.modelSamples;
-    os << ",\"topk\":" << s.topK;
+    os << ",\"topk\":" << kPredictDefaultTopK;
     os << ",\"predict_pruned\":" << s.pruned;
     os << ",\"predict_survivors\":" << s.survivors;
     os << ",\"pruned_sweeps\":" << s.prunedSweeps;

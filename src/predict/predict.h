@@ -7,15 +7,14 @@
  * predicted time and only the top-k survivors are exactly simulated —
  * the exact simulator stays the oracle, so the selected mapping's
  * simulated report is bit-identical to what the full sweep would have
- * produced *when the true winner survives pruning* (default k is sized
- * so it does on every demo program; enforced by tests/predict and the
+ * produced *when the true winner survives pruning* (k is sized so it
+ * does on every demo program; enforced by tests/predict and the
  * fig_predict gates). With no model loaded — missing file, corrupt
  * file, stale feature-schema version — the sweep silently falls back
  * to the full (unpruned) evaluation.
  *
  * Knobs (all hardened through support/env.h):
  *   NPP_PREDICT=1          enable predictor-guided pruning
- *   NPP_PREDICT_TOPK=N     survivors per sweep (default 12)
  *   NPP_PREDICT_DIR=PATH   sample store; harvest every exact simulation
  *   NPP_PREDICT_MODEL=PATH model file (default: <dir>/model.nppprd)
  */
@@ -34,14 +33,13 @@ namespace npp {
  *  the predictor prunes). Matches the autotuner's neighborhood. */
 inline constexpr int kPredictUniverse = 48;
 
-/** Default survivors per sweep (score choice always included). */
+/** Survivors per sweep (score choice always included). */
 inline constexpr int kPredictDefaultTopK = 12;
 
 /** Resolved NPP_PREDICT* configuration. */
 struct PredictOptions
 {
     bool enabled = false;   //!< NPP_PREDICT
-    int topK = kPredictDefaultTopK; //!< NPP_PREDICT_TOPK, clamped [1, universe]
     std::string sampleDir;  //!< NPP_PREDICT_DIR ("" = no harvesting)
     std::string modelPath;  //!< NPP_PREDICT_MODEL or <dir>/model.nppprd
 };
@@ -110,7 +108,6 @@ struct PredictStats
     bool enabled = false;
     uint32_t modelVersion = 0; //!< loaded model's schema (0 = no model)
     uint64_t modelSamples = 0; //!< samples the loaded model was fit on
-    int topK = 0;
     uint64_t pruned = 0;       //!< candidates skipped across all sweeps
     uint64_t survivors = 0;    //!< candidates exactly simulated
     uint64_t prunedSweeps = 0; //!< sweeps that used the model
@@ -131,7 +128,9 @@ class PredictRuntime
     /** Programmatic overrides for benches/tests (no env dependence). */
     void setSampleDir(const std::string &dir);
     void setModel(std::optional<PredictModel> model);
-    void setEnabled(bool on, int topK);
+    /** Sweeps keep kPredictDefaultTopK survivors; `topK` must equal it
+     *  and stays only so two-argument callers keep compiling. */
+    void setEnabled(bool on, int topK = kPredictDefaultTopK);
 
     const PredictOptions &options() const { return opts_; }
     /** Whether sweeps should run at all (NPP_PREDICT=1 or setEnabled);

@@ -1,7 +1,6 @@
 #include "predict/samples.h"
 
 #include <dirent.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,25 +9,12 @@
 #include <cstring>
 #include <mutex>
 
+#include "support/binfile.h"
 #include "support/logging.h"
 
 namespace npp {
 
 namespace {
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t
-fnvBytes(const void *data, size_t n, uint64_t h = kFnvBasis)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; i++) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 constexpr uint32_t kRecordMagic = 0x31504d53u; // "SMP1"
 
@@ -83,15 +69,6 @@ unpackRecord(const char *in, PredictSample *out)
     return fnvBytes(in, kRecordBytes - sizeof(uint64_t)) == sum;
 }
 
-void
-ensureDir(const std::string &dir)
-{
-    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
-        NPP_WARN("predict samples: cannot create {} ({}); harvesting "
-                 "disabled",
-                 dir, std::strerror(errno));
-}
-
 std::vector<std::string>
 sampleFiles(const std::string &dir)
 {
@@ -127,7 +104,10 @@ SampleWriter::SampleWriter(std::string dir)
 {
     if (dir.empty())
         return;
-    ensureDir(dir);
+    if (!ensureDir(dir))
+        NPP_WARN("predict samples: cannot create {} ({}); harvesting "
+                 "disabled",
+                 dir, std::strerror(errno));
     const std::string path =
         dir + "/samples-" + std::to_string(::getpid()) + ".nppsmp";
     impl_->file = std::fopen(path.c_str(), "ab");
@@ -187,16 +167,10 @@ loadPredictSamples(const std::string &dir, SampleLoadStats *stats)
     std::vector<PredictSample> samples;
     SampleLoadStats local;
     for (const std::string &path : sampleFiles(dir)) {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f)
+        std::string data;
+        if (readWholeFile(path, &data) != FileRead::Ok)
             continue;
         local.files++;
-        std::string data;
-        char buf[1 << 16];
-        size_t got;
-        while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-            data.append(buf, got);
-        std::fclose(f);
         size_t off = 0;
         for (; off + kRecordBytes <= data.size(); off += kRecordBytes) {
             PredictSample s;
@@ -222,15 +196,9 @@ countPredictSamples(const std::string &dir)
         return 0;
     uint64_t count = 0;
     for (const std::string &path : sampleFiles(dir)) {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f)
-            continue;
         std::string data;
-        char buf[1 << 16];
-        size_t got;
-        while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-            data.append(buf, got);
-        std::fclose(f);
+        if (readWholeFile(path, &data) != FileRead::Ok)
+            continue;
         for (size_t off = 0; off + kRecordBytes <= data.size();
              off += kRecordBytes) {
             PredictSample s;

@@ -116,12 +116,4 @@ Bindings::fingerprint() const
     return h;
 }
 
-double
-Bindings::scalarValue(int varId) const
-{
-    NPP_ASSERT(scalarBound_[varId], "scalar param {} not bound",
-               prog_->var(varId).name);
-    return scalars_[varId];
-}
-
 } // namespace npp

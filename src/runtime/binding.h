@@ -42,9 +42,6 @@ class Bindings
      *  missing. Locals/indices start at zero. */
     void seed(EvalCtx &ctx) const;
 
-    /** Value of a bound scalar param (fatal if unbound). */
-    double scalarValue(int varId) const;
-
     /** Stable fingerprint of everything bound: scalar values, array
      *  sizes and full contents. Two bindings with equal fingerprints
      *  drive a program identically, which is what the evaluation cache

@@ -19,7 +19,7 @@ struct Parser
     const char *p;
     size_t n;
     size_t off = 0;
-    std::string error;
+    std::string error{};
     static constexpr int kMaxDepth = 64;
 
     bool

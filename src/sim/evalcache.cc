@@ -1,7 +1,6 @@
 #include "sim/evalcache.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "ir/printer.h"
+#include "support/binfile.h"
 #include "support/env.h"
 #include "support/logging.h"
 #include "support/strings.h"
@@ -22,20 +22,6 @@
 namespace npp {
 
 namespace {
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t
-fnvBytes(const void *data, size_t n, uint64_t h = kFnvBasis)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; i++) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 uint64_t
 mix(uint64_t h, uint64_t v)
@@ -80,33 +66,6 @@ readCapacityBytes()
     return mb * 1024 * 1024;
 }
 
-std::string
-readDiskDirEnv()
-{
-    // Hardened read: unset, empty, and whitespace-only all mean "no
-    // disk tier" (a raw getenv used to accept whitespace-only values
-    // and root the disk cache at a junk path).
-    const std::string dir = parseEnvString("NPP_EVAL_CACHE_DIR");
-    if (dir.empty())
-        return {};
-    // NPP_EVAL_CACHE_DISK=off keeps the memory tier but detaches the
-    // directory (e.g. to quarantine a shared cache without losing the
-    // in-process one).
-    if (!parseEnvBool("NPP_EVAL_CACHE_DISK", true))
-        return {};
-    return dir;
-}
-
-/** Best-effort single-level mkdir; existing directory is fine. */
-void
-ensureDir(const std::string &dir)
-{
-    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
-        NPP_WARN("eval cache: cannot create {} ({}); disk tier will "
-                 "miss/fail open",
-                 dir, std::strerror(errno));
-}
-
 /** @name Disk-entry serialization
  *
  * One file per entry:
@@ -127,130 +86,6 @@ ensureDir(const std::string &dir)
  */
 
 constexpr char kDiskMagic[8] = {'N', 'P', 'P', 'E', 'V', 'C', '1', '\n'};
-
-struct ByteWriter
-{
-    std::string buf;
-
-    void
-    u64(uint64_t v)
-    {
-        buf.append(reinterpret_cast<const char *>(&v), sizeof(v));
-    }
-
-    void
-    u32(uint32_t v)
-    {
-        buf.append(reinterpret_cast<const char *>(&v), sizeof(v));
-    }
-
-    void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
-
-    void
-    f64(double v)
-    {
-        uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    void u8(uint8_t v) { buf.push_back(static_cast<char>(v)); }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        buf.append(s);
-    }
-
-    /** @name One encoding per field-table type
-     *  @{ */
-    void put(double v) { f64(v); }
-    void put(int64_t v) { i64(v); }
-    void put(bool v) { u8(v ? 1 : 0); }
-    void put(const std::string &v) { str(v); }
-    /** @} */
-};
-
-/** Bounds-checked reader: any overrun latches ok=false and returns
- *  zeros, so a truncated payload can never index out of range. */
-struct ByteReader
-{
-    const char *p;
-    size_t n;
-    size_t off = 0;
-    bool ok = true;
-
-    bool
-    take(void *out, size_t count)
-    {
-        if (!ok || n - off < count) {
-            ok = false;
-            return false;
-        }
-        std::memcpy(out, p + off, count);
-        off += count;
-        return true;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        take(&v, sizeof(v));
-        return v;
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        take(&v, sizeof(v));
-        return v;
-    }
-
-    int64_t i64() { return static_cast<int64_t>(u64()); }
-
-    double
-    f64()
-    {
-        const uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
-    uint8_t
-    u8()
-    {
-        uint8_t v = 0;
-        take(&v, sizeof(v));
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        const uint64_t len = u64();
-        if (!ok || n - off < len) {
-            ok = false;
-            return {};
-        }
-        std::string s(p + off, len);
-        off += len;
-        return s;
-    }
-
-    bool exhausted() const { return ok && off == n; }
-
-    /** @name Inverse of ByteWriter::put
-     *  @{ */
-    void get(double &v) { v = f64(); }
-    void get(int64_t &v) { v = i64(); }
-    void get(bool &v) { v = u8() != 0; }
-    void get(std::string &v) { v = str(); }
-    /** @} */
-};
 
 template <class S>
 void
@@ -468,18 +303,12 @@ enum class DiskRead { Ok, NotFound, Reject };
 DiskRead
 readDiskEntry(const std::string &path, uint64_t key, CacheEntry *out)
 {
-    FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return DiskRead::NotFound;
     std::string data;
-    char buf[1 << 16];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-        data.append(buf, got);
-    const bool readErr = std::ferror(f) != 0;
-    std::fclose(f);
-    if (readErr)
-        return DiskRead::Reject;
+    switch (readWholeFile(path, &data)) {
+    case FileRead::NotFound: return DiskRead::NotFound;
+    case FileRead::Error: return DiskRead::Reject;
+    case FileRead::Ok: break;
+    }
 
     ByteReader r{data.data(), data.size()};
     char magic[sizeof kDiskMagic];
@@ -511,9 +340,9 @@ readDiskEntry(const std::string &path, uint64_t key, CacheEntry *out)
     return DiskRead::Ok;
 }
 
-/** Write one disk entry via temp file + atomic rename: a concurrent
- *  reader either sees no file or a complete one, never a partial
- *  write. Returns false (with a one-line warning) on I/O failure. */
+/** Write one disk entry (writeFileAtomic: a concurrent reader either
+ *  sees no file or a complete one). Returns false (with a one-line
+ *  warning) on I/O failure. */
 bool
 writeDiskEntry(const std::string &dir, uint64_t key,
                const std::string &payload)
@@ -528,37 +357,8 @@ writeDiskEntry(const std::string &dir, uint64_t key,
     header.u64(payload.size());
     header.u64(fnvBytes(payload.data(), payload.size()));
 
-    std::string tmpPath = dir + "/.nppeval.XXXXXX";
-    const int fd = ::mkstemp(tmpPath.data());
-    if (fd < 0) {
-        NPP_WARN("eval cache: cannot create temp file in {} ({})", dir,
-                 std::strerror(errno));
-        return false;
-    }
-    const auto writeAll = [&](const char *p, size_t n) {
-        while (n > 0) {
-            const ssize_t w = ::write(fd, p, n);
-            if (w < 0) {
-                if (errno == EINTR)
-                    continue;
-                return false;
-            }
-            p += w;
-            n -= static_cast<size_t>(w);
-        }
-        return true;
-    };
-    const bool wrote = writeAll(header.buf.data(), header.buf.size()) &&
-                       writeAll(payload.data(), payload.size());
-    ::close(fd);
-    if (!wrote || std::rename(tmpPath.c_str(),
-                              diskPathFor(dir, key).c_str()) != 0) {
-        NPP_WARN("eval cache: cannot write entry under {} ({})", dir,
-                 std::strerror(errno));
-        ::unlink(tmpPath.c_str());
-        return false;
-    }
-    return true;
+    return writeFileAtomic(diskPathFor(dir, key), {header.buf, payload},
+                           "eval cache");
 }
 
 bool
@@ -597,9 +397,10 @@ EvalCache::EvalCache()
     : impl_(new Impl),
       capacityBytes_(readCapacityBytes())
 {
-    impl_->diskDir = readDiskDirEnv();
-    if (!impl_->diskDir.empty())
-        ensureDir(impl_->diskDir);
+    // Hardened read: unset, empty, and whitespace-only all mean "no
+    // disk tier" (a raw getenv used to accept whitespace-only values
+    // and root the disk cache at a junk path).
+    setDiskDir(parseEnvString("NPP_EVAL_CACHE_DIR"));
 }
 
 EvalCache &
@@ -885,8 +686,10 @@ EvalCache::setCapacityBytes(int64_t bytes)
 void
 EvalCache::setDiskDir(const std::string &dir)
 {
-    if (!dir.empty())
-        ensureDir(dir);
+    if (!dir.empty() && !ensureDir(dir))
+        NPP_WARN("eval cache: cannot create {} ({}); disk tier will "
+                 "miss/fail open",
+                 dir, std::strerror(errno));
     std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->diskDir = dir;
 }

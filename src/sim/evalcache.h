@@ -20,8 +20,7 @@
  *    write through via temp-file + atomic rename, so concurrent
  *    processes never observe a partial entry. Truncated, corrupt,
  *    wrong-version, or wrong-model files are rejected as misses (and
- *    counted), never trusted. NPP_EVAL_CACHE_DISK=off keeps the memory
- *    tier but ignores the directory.
+ *    counted), never trusted.
  *
  * Invalidation rules:
  *  - any change to the program text, size hints, compile options, device

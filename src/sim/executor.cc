@@ -798,9 +798,6 @@ class DeviceExecutor
         for (int d = 0; d < 4; d++) {
             laneCoord[d] = -1; // unbound
         }
-        levelOfDim[0] = levelOfDim[1] = levelOfDim[2] = levelOfDim[3] = -1;
-        for (size_t lv = 0; lv < geom.levels.size(); lv++)
-            levelOfDim[geom.levels[lv].dim] = static_cast<int>(lv);
         // Per-dim strides of the linear warp-tile / lane-in-warp ids,
         // fixed per launch, for bindLane's incremental rebind path.
         int64_t tStride = 1, lStride = 1;
@@ -1142,9 +1139,8 @@ class DeviceExecutor
             if (isRoot) {
                 deferredRootReduce = &p;
             } else {
-                // Defer the enclosing yield: remember the binding site.
+                // Defer the enclosing yield to replayRootWithTotals().
                 deferredNested = &p;
-                deferredNestedVar = resultVar;
                 deferNestedPending = true;
                 ctx.scalars[resultVar] = slot.value; // partial (unused)
             }
@@ -1417,7 +1413,6 @@ class DeviceExecutor
         NPP_ASSERT(root.kind == PatternKind::Map ||
                        root.kind == PatternKind::ZipWith,
                    "split of a nested reduce requires a map root");
-        combinerReplay = true;
         ctx.probe = nullptr;
         // Under a root shard the split partials exist only for this
         // shard's outer tuples; replay exactly those.
@@ -1434,7 +1429,6 @@ class DeviceExecutor
                        evalExpr(root.yield, ctx), ctx);
         }
         ctx.probe = &probe;
-        combinerReplay = false;
 
         // Combiner kernel traffic: read outer*k partials, write outer.
         const Pattern &p = *deferredNested;
@@ -1710,7 +1704,6 @@ class DeviceExecutor
     int64_t laneStrideOfDim[4] = {1, 1, 1, 1};
     int64_t tilesPerBlock = 1;
     int64_t laneCoord[4] = {-1, -1, -1, -1};
-    int levelOfDim[4] = {-1, -1, -1, -1};
 
     int64_t blockLinear = 0;
     int64_t blockCoord[4] = {0, 0, 0, 0};
@@ -1765,9 +1758,7 @@ class DeviceExecutor
         splitPartials;
     const Pattern *deferredRootReduce = nullptr;
     const Pattern *deferredNested = nullptr;
-    int deferredNestedVar = -1;
     bool deferNestedPending = false;
-    bool combinerReplay = false;
     int64_t filterCursor = 0;
     int64_t compactionElems = 0;
     int64_t compactionKept = 0;

@@ -5,10 +5,6 @@
 
 namespace npp {
 
-namespace {
-bool verboseEnabled = true;
-} // namespace
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
@@ -27,19 +23,6 @@ void
 warnImpl(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (verboseEnabled)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-setVerbose(bool verbose)
-{
-    verboseEnabled = verbose;
 }
 
 } // namespace npp

@@ -2,7 +2,7 @@
  * @file
  * Diagnostic helpers in the gem5 spirit: panic() for internal invariant
  * violations (a bug in this library), fatal() for unrecoverable user errors
- * (bad program, bad configuration), warn()/inform() for status output.
+ * (bad program, bad configuration), warn() for status output.
  */
 
 #ifndef NPP_SUPPORT_LOGGING_H
@@ -23,12 +23,6 @@ namespace npp {
 /** Print a warning to stderr. */
 void warnImpl(const std::string &msg);
 
-/** Print an informational message to stderr. */
-void informImpl(const std::string &msg);
-
-/** Enable/disable inform() output (benches silence it). */
-void setVerbose(bool verbose);
-
 } // namespace npp
 
 #define NPP_PANIC(...) \
@@ -38,8 +32,6 @@ void setVerbose(bool verbose);
     ::npp::fatalImpl(__FILE__, __LINE__, ::npp::fmt(__VA_ARGS__))
 
 #define NPP_WARN(...) ::npp::warnImpl(::npp::fmt(__VA_ARGS__))
-
-#define NPP_INFORM(...) ::npp::informImpl(::npp::fmt(__VA_ARGS__))
 
 /** Internal invariant check; failure is a library bug, not a user error. */
 #define NPP_ASSERT(cond, ...)                                              \

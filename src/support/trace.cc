@@ -222,11 +222,10 @@ Trace::flatJson() const
     return os.str();
 }
 
-namespace {
-
 bool
-writeWholeFile(const std::string &path, const std::string &contents)
+Trace::writeChromeTrace(const std::string &path) const
 {
+    const std::string contents = chromeTraceJson();
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
         NPP_WARN("cannot open {} for writing", path);
@@ -239,20 +238,6 @@ writeWholeFile(const std::string &path, const std::string &contents)
     if (!ok)
         NPP_WARN("short write to {}", path);
     return ok;
-}
-
-} // namespace
-
-bool
-Trace::writeChromeTrace(const std::string &path) const
-{
-    return writeWholeFile(path, chromeTraceJson());
-}
-
-bool
-Trace::writeFlatJson(const std::string &path) const
-{
-    return writeWholeFile(path, flatJson());
 }
 
 double

@@ -92,10 +92,9 @@ class Trace
      */
     std::string chromeTraceJson() const;
     std::string flatJson() const;
-    /** Write an exporter's output to a file; warns and returns false on
+    /** Write the Chrome trace to a file; warns and returns false on
      *  I/O failure. */
     bool writeChromeTrace(const std::string &path) const;
-    bool writeFlatJson(const std::string &path) const;
     /** @} */
 
     /** @name Introspection for tests and reports

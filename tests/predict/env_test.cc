@@ -36,7 +36,6 @@ class PredictEnvTest : public ::testing::Test
     clearAll()
     {
         ::unsetenv("NPP_PREDICT");
-        ::unsetenv("NPP_PREDICT_TOPK");
         ::unsetenv("NPP_PREDICT_DIR");
         ::unsetenv("NPP_PREDICT_MODEL");
     }
@@ -46,7 +45,6 @@ TEST_F(PredictEnvTest, UnsetEnvironmentYieldsDefaults)
 {
     const PredictOptions opts = predictOptionsFromEnv();
     EXPECT_FALSE(opts.enabled);
-    EXPECT_EQ(opts.topK, kPredictDefaultTopK);
     EXPECT_TRUE(opts.sampleDir.empty());
     EXPECT_TRUE(opts.modelPath.empty());
 }
@@ -54,11 +52,9 @@ TEST_F(PredictEnvTest, UnsetEnvironmentYieldsDefaults)
 TEST_F(PredictEnvTest, ValidValuesAreHonored)
 {
     ::setenv("NPP_PREDICT", "1", 1);
-    ::setenv("NPP_PREDICT_TOPK", "5", 1);
     ::setenv("NPP_PREDICT_DIR", "/tmp/pstore", 1);
     const PredictOptions opts = predictOptionsFromEnv();
     EXPECT_TRUE(opts.enabled);
-    EXPECT_EQ(opts.topK, 5);
     EXPECT_EQ(opts.sampleDir, "/tmp/pstore");
     // No explicit model path: it resolves inside the sample directory.
     EXPECT_EQ(opts.modelPath, "/tmp/pstore/model.nppprd");
@@ -79,19 +75,6 @@ TEST_F(PredictEnvTest, GarbageBoolFallsBackDisabled)
         EXPECT_FALSE(predictOptionsFromEnv().enabled)
             << "NPP_PREDICT=" << bad;
     }
-}
-
-TEST_F(PredictEnvTest, GarbageTopKFallsBackToDefault)
-{
-    for (const char *bad : {"abc", "12abc", "-3", "0", "1e9", ""}) {
-        ::setenv("NPP_PREDICT_TOPK", bad, 1);
-        EXPECT_EQ(predictOptionsFromEnv().topK, kPredictDefaultTopK)
-            << "NPP_PREDICT_TOPK=" << bad;
-    }
-    // Out of range (above the candidate universe) also falls back: a
-    // top-k beyond the universe cannot prune anything.
-    ::setenv("NPP_PREDICT_TOPK", "100000", 1);
-    EXPECT_EQ(predictOptionsFromEnv().topK, kPredictDefaultTopK);
 }
 
 TEST_F(PredictEnvTest, WhitespaceOnlyPathsMeanUnset)

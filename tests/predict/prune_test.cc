@@ -58,7 +58,7 @@ class PredictPruneTest : public ::testing::Test
         // later tests (and other fixtures) see a clean slate.
         PredictRuntime::instance().setSampleDir("");
         PredictRuntime::instance().setModel(std::nullopt);
-        PredictRuntime::instance().setEnabled(false, kPredictDefaultTopK);
+        PredictRuntime::instance().setEnabled(false);
         EvalCache::instance().clear();
         const std::string cmd = "rm -rf '" + dir_ + "'";
         (void)!std::system(cmd.c_str());
@@ -144,7 +144,7 @@ TEST_F(PredictPruneTest, RuntimeWithoutModelFallsBackToFullSweep)
     Gpu gpu;
     PredictRuntime &rt = PredictRuntime::instance();
     rt.setModel(std::nullopt);
-    rt.setEnabled(true, kPredictDefaultTopK);
+    rt.setEnabled(true);
 
     std::string error;
     std::unique_ptr<DemoProgram> demo = buildDemoProgram(

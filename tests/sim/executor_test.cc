@@ -325,9 +325,11 @@ INSTANTIATE_TEST_SUITE_P(
 // with the reference (property-style hard-constraint coverage).
 //
 
-TEST(FixedMappingSweep, SumRowsManyMappings)
+/** Run `c` under a grid of two-level fixed mappings (inner level span
+ *  all or Split(3)); returns how many were feasible. */
+int
+sweepFixedMappings(const Case &c)
 {
-    Case c = sumRowsCase(40, 70);
     const DeviceConfig dev = teslaK20c();
     AnalysisEnv env;
     env.prog = c.prog.get();
@@ -353,7 +355,39 @@ TEST(FixedMappingSweep, SumRowsManyMappings)
             }
         }
     }
-    EXPECT_GT(tested, 8);
+    return tested;
+}
+
+TEST(FixedMappingSweep, SumRowsManyMappings)
+{
+    EXPECT_GT(sweepFixedMappings(sumRowsCase(40, 70)), 8);
+}
+
+/** The root yield reads a sibling nested-map local next to a reduce, so
+ *  under Split(k) the combiner must rerun the root body to rebuild `w`
+ *  before storing the yield. */
+TEST(FixedMappingSweep, SplitYieldReadsSiblingMap)
+{
+    const int64_t R = 40, C = 70;
+    ProgramBuilder b("splitYield");
+    Arr m = b.inF64("m");
+    Ex r = b.paramI64("R"), cc = b.paramI64("C");
+    Arr out = b.outF64("out");
+    b.map(r, out, [&](Body &fn, Ex i) {
+        Arr w = fn.map(cc, [&](Body &, Ex j) { return 2.0 * m(i * cc + j); });
+        Ex s = fn.reduce(cc, Op::Add, [&](Body &, Ex j) { return w(j); });
+        return s + w(Ex(0.0)) + w(cc - 1);
+    });
+    Case c;
+    c.name = "splitYield";
+    c.prog = std::make_shared<Program>(b.build());
+    c.bindInputs = [=](Bindings &args) {
+        args.scalar(r, static_cast<double>(R));
+        args.scalar(cc, static_cast<double>(C));
+        args.array(m, sharedMatrix(R * C));
+    };
+    c.outputs = {{out, R}};
+    EXPECT_GT(sweepFixedMappings(c), 8);
 }
 
 //

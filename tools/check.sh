@@ -2,7 +2,8 @@
 # Full verification driver: the default build + ctest, then (optionally)
 # sanitizer builds in separate build trees. Usage:
 #
-#   tools/check.sh              # default job: build + ctest
+#   tools/check.sh              # default job: build (warnings are
+#                               # errors) + ctest
 #   tools/check.sh asan         # AddressSanitizer + UBSan build + ctest
 #   tools/check.sh tsan         # ThreadSanitizer build + ctest
 #   tools/check.sh ubsan        # UBSan-only build + ctest
@@ -79,7 +80,7 @@ run_job() {
 
 case "${jobs}" in
 default)
-    run_job default build
+    run_job default build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
     ;;
 asan)
     run_job asan build-asan -DNPP_ASAN=ON
@@ -179,7 +180,7 @@ rows)
     fi
     ;;
 all)
-    run_job default build
+    run_job default build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
     run_job asan build-asan -DNPP_ASAN=ON
     run_job tsan build-tsan -DNPP_TSAN=ON
     run_job ubsan build-ubsan -DNPP_UBSAN=ON

@@ -34,7 +34,7 @@
  *
  * --predict runs the empirical mapping sweep under the learned cost
  * model (predict/predict.h): candidates are ranked by predicted time
- * and only the top NPP_PREDICT_TOPK are exactly simulated; without a
+ * and only the top kPredictDefaultTopK are exactly simulated; without a
  * trained model the sweep evaluates everything. Point NPP_PREDICT_DIR
  * at a directory to harvest every exact simulation as a training pair,
  * then `nppc train-predictor` fits the ridge model and
