@@ -57,6 +57,7 @@ class Generator
         out.levelSizes.assign(levels, 0.0);
         out.mustSpanAll.assign(levels, false);
         out.splittable.assign(levels, true);
+        out.unsplittableReason.assign(levels, std::string());
 
         visitPattern(prog.root(), 1.0, 0);
 
@@ -107,8 +108,10 @@ class Generator
             // Only Reduce has a plannable combiner kernel; Filter and
             // GroupBy cannot be split across blocks.
             const bool canSplit = p.kind == PatternKind::Reduce;
-            if (!canSplit)
-                out.splittable[level] = false;
+            if (!canSplit) {
+                markUnsplittable(level, fmt("{} has no combiner kernel",
+                                            patternKindName(p.kind)));
+            }
             Constraint c;
             c.kind = Constraint::Kind::HardSpanAll;
             c.level = level;
@@ -119,7 +122,7 @@ class Generator
         }
         if (!sizeKnownAtLaunch(p.size, prog)) {
             out.mustSpanAll[level] = true;
-            out.splittable[level] = false;
+            markUnsplittable(level, "size unknown at kernel launch");
             Constraint c;
             c.kind = Constraint::Kind::HardSpanAll;
             c.level = level;
@@ -198,15 +201,25 @@ class Generator
                            level, branchDepth);
                 break;
               }
-              case StmtKind::Nested:
-                if (s->pattern->kind == PatternKind::Reduce &&
+              case StmtKind::Nested: {
+                const bool reduce = s->pattern->kind == PatternKind::Reduce;
+                if (reduce &&
                     (branchDepth > 0 || usedBeyondYield(stmts, s.get()))) {
                     // A split partial cannot flow anywhere except the
                     // enclosing yield (the combiner applies it there).
-                    out.splittable[level + 1] = false;
+                    markUnsplittable(level + 1,
+                                     "reduce partial used beyond the "
+                                     "enclosing yield");
+                } else if (reduce && enclosingStore()) {
+                    // Every Split(k) segment block reruns the enclosing
+                    // bodies, so their Stores would take effect k times.
+                    markUnsplittable(level + 1,
+                                     "a Store in an enclosing body would "
+                                     "run once per segment");
                 }
                 visitPattern(*s->pattern, multiplier, level + 1);
                 break;
+              }
             }
         }
     }
@@ -275,6 +288,40 @@ class Generator
         }
         if (!flexible)
             out.accesses.push_back(site);
+    }
+
+    /** Forbid Split(k) at `level`, keeping the first reason. */
+    void
+    markUnsplittable(int level, const std::string &reason)
+    {
+        if (out.splittable[level])
+            out.unsplittableReason[level] = reason;
+        out.splittable[level] = false;
+    }
+
+    /** True if `stmts` store to an array at their own level: directly
+     *  or under If/SeqLoop, not inside nested patterns (those run per
+     *  segment of their own level). */
+    static bool
+    storesAtLevel(const std::vector<StmtPtr> &stmts)
+    {
+        for (const auto &s : stmts) {
+            if (s->kind == StmtKind::Store || storesAtLevel(s->body) ||
+                storesAtLevel(s->elseBody))
+                return true;
+        }
+        return false;
+    }
+
+    /** True if any enclosing pattern body stores at its own level. */
+    bool
+    enclosingStore() const
+    {
+        for (const Enclosing &e : enclosing) {
+            if (storesAtLevel(e.pattern->body))
+                return true;
+        }
+        return false;
     }
 
     /** True if the reduce result var is referenced by any statement

@@ -112,6 +112,10 @@ struct ConstraintSet
 
     /** Per-level: may Span(all) be converted to Split(k)? */
     std::vector<bool> splittable;
+
+    /** Per-level: the first reason Split(k) is refused (empty where
+     *  splittable). */
+    std::vector<std::string> unsplittableReason;
 };
 
 /**

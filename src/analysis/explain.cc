@@ -110,8 +110,11 @@ MappingSearch::explain(const MappingDecision &decision,
             decision.levels[lv].span.kind != SpanKind::Split ||
             cset.splittable[lv];
         ok &= check(fmt("L{} split legal", lv), splitOk,
-                    "Split(k) requires a plannable combiner "
-                    "(splittable level)");
+                    cset.splittable[lv]
+                        ? "Split(k) requires a plannable combiner "
+                          "(splittable level)"
+                        : fmt("level is not splittable: {}",
+                              cset.unsplittableReason[lv]));
     }
     ex.feasible = ok;
 

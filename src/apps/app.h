@@ -110,12 +110,12 @@ class App
      */
     virtual double runManualMs(const Gpu &gpu);
 
-  protected:
-    explicit App(std::string name) : name_(std::move(name)) {}
-
     /** Launch every kernel of the application through `runner` and
      *  return the outputs validation compares. */
     virtual std::vector<double> hostLoop(Runner &runner) = 0;
+
+  protected:
+    explicit App(std::string name) : name_(std::move(name)) {}
 
     /** Size hints (paramValues) and the fusion flag; run() adds the
      *  strategy. */

@@ -55,6 +55,34 @@ struct AutotuneResult
 };
 
 /**
+ * Algorithm 1's candidates as a sweep list: the score-based selection
+ * first (ControlDOP may have rewritten it beyond the raw list), then the
+ * distinct candidates by descending score, at most `maxPicks` in all.
+ * `base.strategy` is ignored.
+ */
+std::vector<ScoredMapping> rankedCandidates(const Program &prog,
+                                            const DeviceConfig &device,
+                                            CompileOptions base,
+                                            int maxPicks);
+
+/** Simulated time of each mapping, and the first fastest one. */
+struct MeasuredMappings
+{
+    std::vector<double> ms;
+    size_t best = 0;
+};
+
+/**
+ * Exactly simulate each mapping (Strategy::Fixed over `base`) metrics-
+ * only, concurrently and through the EvalCache, then pick the first
+ * minimum in list order, so the result never depends on the thread
+ * count. `mappings` must not be empty.
+ */
+MeasuredMappings measureMappings(const Gpu &gpu, const Program &prog,
+                                 const Bindings &args, CompileOptions base,
+                                 const std::vector<MappingDecision> &mappings);
+
+/**
  * Compile, enumerate, execute the top-scoring candidates, return the
  * empirically fastest mapping. `base.strategy` is ignored (the tuner
  * owns candidate selection).

@@ -156,10 +156,10 @@ class Emitter
     readExpr(const Expr &e)
     {
         if (spec.prefetchedSites.count(&e)) {
-            // Served from the shared-memory staging buffer filled by the
-            // prefetch prologue (indexed by the lane of its level).
+            // Served from the shared-memory staging buffer that the
+            // prefetch prologue fills along threadIdx.x.
             return fmt("smem_{}[{} % blockDim.{}]", varName(e.varId),
-                       expr(e.a), prefetchDim);
+                       expr(e.a), cudaDim(0));
         }
         const LocalArrayPlan *plan = spec.localPlan(e.varId);
         if (plan)
@@ -1048,7 +1048,6 @@ class Emitter
     int indent = 0;
     std::unordered_set<int> reduceLevels;
     std::vector<int> levelLoops;
-    int prefetchDim = 0;
 };
 
 } // namespace

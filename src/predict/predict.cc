@@ -4,12 +4,10 @@
 #include <atomic>
 #include <mutex>
 #include <sstream>
-#include <unordered_set>
 
-#include "codegen/compile.h"
+#include "codegen/autotune.h"
 #include "support/env.h"
 #include "support/logging.h"
-#include "support/parallel.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
@@ -102,26 +100,8 @@ predictiveSweep(const Gpu &gpu, const Program &prog, const Bindings &args,
 
     // Candidate universe: Algorithm 1's score ranking, score choice
     // first — the same pick list the autotuner evaluates exhaustively.
-    base.strategy = Strategy::MultiDim;
-    base.keepCandidates = true;
-    CompileResult compiled = compileProgram(prog, gpu.config(), base);
-
-    std::vector<ScoredMapping> cands = compiled.candidates;
-    std::sort(cands.begin(), cands.end(),
-              [](const ScoredMapping &a, const ScoredMapping &b) {
-                  return a.score > b.score;
-              });
-    std::vector<ScoredMapping> picks;
-    std::unordered_set<MappingDecision> seen;
-    picks.push_back({compiled.spec.mapping, compiled.spec.score,
-                     compiled.spec.dop, 0.0});
-    seen.insert(compiled.spec.mapping);
-    for (const auto &c : cands) {
-        if (static_cast<int>(picks.size()) >= kPredictUniverse)
-            break;
-        if (seen.insert(c.decision).second)
-            picks.push_back(c);
-    }
+    const std::vector<ScoredMapping> picks =
+        rankedCandidates(prog, gpu.config(), base, kPredictUniverse);
 
     sweep.candidates.resize(picks.size());
     for (size_t i = 0; i < picks.size(); i++) {
@@ -164,39 +144,23 @@ predictiveSweep(const Gpu &gpu, const Program &prog, const Bindings &args,
     }
 
     // Exact simulation of the survivors, concurrently and through the
-    // tiered cache (the harvest observer fires on every genuine miss).
+    // tiered cache (the harvest observer fires on every genuine miss),
+    // folded in pick order: identical tie-breaking to the full sweep, so
+    // pruned and full agree whenever the winner survives.
     std::vector<size_t> evalIdx;
+    std::vector<MappingDecision> survivors;
     for (size_t i = 0; i < sweep.candidates.size(); i++) {
-        if (sweep.candidates[i].survived)
+        if (sweep.candidates[i].survived) {
             evalIdx.push_back(i);
-    }
-    CompileOptions fixed = base;
-    fixed.keepCandidates = false;
-    fixed.explainSearch = false;
-    fixed.strategy = Strategy::Fixed;
-    std::vector<double> measuredMs = parallelMap<double>(
-        static_cast<int64_t>(evalIdx.size()), [&](int64_t i) {
-            CompileOptions copts = fixed;
-            copts.fixedMapping =
-                sweep.candidates[evalIdx[static_cast<size_t>(i)]].decision;
-            return cachedCompileAndRun(gpu, prog, args, copts, eopts,
-                                       /*wantOutputs=*/false)
-                .totalMs;
-        });
-
-    // Serial fold in pick order: identical tie-breaking to the full
-    // sweep, so pruned and full agree whenever the winner survives.
-    bool haveBest = false;
-    for (size_t i = 0; i < evalIdx.size(); i++) {
-        PredictCandidate &c = sweep.candidates[evalIdx[i]];
-        c.exactMs = measuredMs[i];
-        if (!haveBest || c.exactMs < sweep.bestMs) {
-            sweep.bestMs = c.exactMs;
-            sweep.best = c.decision;
-            haveBest = true;
+            survivors.push_back(sweep.candidates[i].decision);
         }
     }
-    NPP_ASSERT(haveBest, "predictive sweep executed no candidates");
+    const MeasuredMappings measured =
+        measureMappings(gpu, prog, args, base, survivors);
+    for (size_t i = 0; i < evalIdx.size(); i++)
+        sweep.candidates[evalIdx[i]].exactMs = measured.ms[i];
+    sweep.best = survivors[measured.best];
+    sweep.bestMs = measured.ms[measured.best];
 
     sweep.survivors = static_cast<int64_t>(evalIdx.size());
     sweep.pruned =

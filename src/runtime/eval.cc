@@ -1,7 +1,5 @@
 #include "runtime/eval.h"
 
-#include <cmath>
-
 #include "support/logging.h"
 
 namespace npp {
@@ -73,8 +71,7 @@ evalExpr(const Expr *expr, EvalCtx &ctx)
       case ExprKind::Read: {
         ctx.opCount += ctx.accessOpCost;
         const double idx = evalExpr(expr->a.get(), ctx);
-        return loadArray(expr->readSite, expr->varId,
-                         static_cast<int64_t>(std::llround(idx)), ctx);
+        return loadArray(expr->readSite, expr->varId, asIndex(idx), ctx);
       }
     }
     NPP_PANIC("unknown expr kind");

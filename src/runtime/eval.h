@@ -10,6 +10,7 @@
 #ifndef NPP_RUNTIME_EVAL_H
 #define NPP_RUNTIME_EVAL_H
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -96,6 +97,13 @@ struct EvalCtx
           arrays(program.numVars())
     {}
 };
+
+/** Round an evaluated index or extent to an integer. */
+inline int64_t
+asIndex(double v)
+{
+    return static_cast<int64_t>(std::llround(v));
+}
 
 /** Evaluate a pure expression in the given context. */
 double evalExpr(const Expr *expr, EvalCtx &ctx);

@@ -1,18 +1,12 @@
 #include "runtime/reference.h"
 
-#include <cmath>
+#include <unordered_map>
 
-#include "support/logging.h"
+#include "runtime/walk.h"
 
 namespace npp {
 
 namespace {
-
-int64_t
-asIndex(double v)
-{
-    return static_cast<int64_t>(std::llround(v));
-}
 
 /** Byte-count probe for the WorkCounts report. */
 class CountingProbe : public MemProbe
@@ -32,232 +26,38 @@ class CountingProbe : public MemProbe
 };
 
 /**
- * Recursive sequential executor. Local array storage is arena-allocated
- * per (array-local var) and reused across outer iterations, mirroring how
- * the preallocation optimization reuses memory.
+ * Reference hooks for the shared walker: every statement takes effect,
+ * iterations are counted, and nested locals live in an arena reused
+ * across outer iterations, mirroring how the preallocation optimization
+ * reuses memory.
  */
-class SeqExec
+struct ReferenceHooks : WalkHooks
 {
-  public:
-    SeqExec(const Program &prog, EvalCtx &ctx, WorkCounts &counts)
-        : prog(prog), ctx(ctx), counts(counts)
-    {}
-
-    void
-    runRoot()
-    {
-        const Pattern &p = prog.root();
-        const int64_t n = asIndex(evalExpr(p.size, ctx));
-        const int out = prog.rootOutput();
-
-        switch (p.kind) {
-          case PatternKind::Map:
-          case PatternKind::ZipWith:
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-                storeArray(p.site, out, i, evalExpr(p.yield, ctx), ctx);
-            }
-            break;
-          case PatternKind::Foreach:
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-            }
-            break;
-          case PatternKind::Reduce: {
-            double acc = combinerIdentity(p.combiner);
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-                acc = applyOp(p.combiner, acc, evalExpr(p.yield, ctx));
-            }
-            storeArray(p.site, out, 0, acc, ctx);
-            break;
-          }
-          case PatternKind::Filter: {
-            int64_t kept = 0;
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-                if (evalExpr(p.filterPred, ctx) != 0.0) {
-                    storeArray(p.site, out, kept, evalExpr(p.yield, ctx), ctx);
-                    kept++;
-                }
-            }
-            storeArray(p.site, prog.countOutput(), 0,
-                       static_cast<double>(kept), ctx);
-            break;
-          }
-          case PatternKind::GroupBy: {
-            // Initialize the key domain to the combiner identity.
-            const ArraySlot &slot = ctx.arrays[out];
-            for (int64_t k = 0; k < slot.size; k++)
-                storeArray(p.site, out, k, combinerIdentity(p.combiner), ctx);
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-                const int64_t key = asIndex(evalExpr(p.key, ctx));
-                NPP_ASSERT(key >= 0 && key < slot.size,
-                           "groupBy key {} outside key domain {}", key,
-                           slot.size);
-                const double prev = loadArray(p.site, out, key, ctx);
-                storeArray(p.site, out, key,
-                           applyOp(p.combiner, prev, evalExpr(p.yield, ctx)),
-                           ctx);
-            }
-            break;
-          }
-        }
-    }
-
-  private:
-    void
-    runNested(const Stmt &stmt)
-    {
-        const Pattern &p = *stmt.pattern;
-        const int64_t n = asIndex(evalExpr(p.size, ctx));
-
-        switch (p.kind) {
-          case PatternKind::Map:
-          case PatternKind::ZipWith: {
-            bindLocal(stmt.var, n);
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-                storeArray(p.site, stmt.var, i, evalExpr(p.yield, ctx), ctx);
-            }
-            break;
-          }
-          case PatternKind::Reduce: {
-            double acc = combinerIdentity(p.combiner);
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-                acc = applyOp(p.combiner, acc, evalExpr(p.yield, ctx));
-            }
-            ctx.scalars[stmt.var] = acc;
-            break;
-          }
-          case PatternKind::Foreach:
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-            }
-            break;
-          case PatternKind::Filter: {
-            // Variable-size output: the local is preallocated at the
-            // static upper bound n and survivors compact into its prefix;
-            // the kept count lands in the stmt's count scalar.
-            bindLocal(stmt.var, n);
-            int64_t kept = 0;
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-                if (evalExpr(p.filterPred, ctx) != 0.0) {
-                    storeArray(p.site, stmt.var, kept,
-                               evalExpr(p.yield, ctx), ctx);
-                    kept++;
-                }
-            }
-            ctx.scalars[stmt.countVar] = static_cast<double>(kept);
-            break;
-          }
-          case PatternKind::GroupBy: {
-            // Fixed key domain: the local has keyDomain slots, seeded
-            // with the combiner identity, updated by keyed read-modify-
-            // write in iteration order.
-            const int64_t keys = asIndex(evalExpr(p.keyDomain, ctx));
-            bindLocal(stmt.var, keys);
-            for (int64_t k = 0; k < keys; k++)
-                storeArray(p.site, stmt.var, k,
-                           combinerIdentity(p.combiner), ctx);
-            for (int64_t i = 0; i < n; i++) {
-                counts.iterations++;
-                ctx.scalars[p.indexVar] = static_cast<double>(i);
-                runStmts(p.body);
-                const int64_t key = asIndex(evalExpr(p.key, ctx));
-                NPP_ASSERT(key >= 0 && key < keys,
-                           "nested groupBy key {} outside key domain {}",
-                           key, keys);
-                const double prev = loadArray(p.site, stmt.var, key, ctx);
-                storeArray(p.site, stmt.var, key,
-                           applyOp(p.combiner, prev,
-                                   evalExpr(p.yield, ctx)),
-                           ctx);
-            }
-            break;
-          }
-        }
-    }
-
-    /** Bind an array local to arena storage with `n` visible slots. */
-    void
-    bindLocal(int var, int64_t n)
-    {
-        auto &store = arena[var];
-        if (!store)
-            store = std::make_unique<std::vector<double>>();
-        if (static_cast<int64_t>(store->size()) < n)
-            store->resize(n);
-        ArraySlot slot;
-        slot.data = store->data();
-        slot.size = n;
-        slot.physSize = static_cast<int64_t>(store->size());
-        slot.elemBytes = scalarBytes(ctx.prog->var(var).kind);
-        ctx.arrays[var] = slot;
-    }
-
-    void
-    runStmts(const std::vector<StmtPtr> &stmts)
-    {
-        for (const auto &s : stmts) {
-            switch (s->kind) {
-              case StmtKind::Let:
-              case StmtKind::Assign:
-                ctx.scalars[s->var] = evalExpr(s->value, ctx);
-                break;
-              case StmtKind::Store:
-                storeArray(s->site, s->array,
-                           asIndex(evalExpr(s->index, ctx)),
-                           evalExpr(s->value, ctx), ctx);
-                break;
-              case StmtKind::If:
-                if (evalExpr(s->cond, ctx) != 0.0)
-                    runStmts(s->body);
-                else
-                    runStmts(s->elseBody);
-                break;
-              case StmtKind::SeqLoop: {
-                const int64_t trip = asIndex(evalExpr(s->trip, ctx));
-                for (int64_t k = 0; k < trip; k++) {
-                    ctx.scalars[s->var] = static_cast<double>(k);
-                    if (s->cond && evalExpr(s->cond, ctx) != 0.0)
-                        break;
-                    runStmts(s->body);
-                }
-                break;
-              }
-              case StmtKind::Nested:
-                runNested(*s);
-                break;
-            }
-        }
-    }
-
-    const Program &prog;
     EvalCtx &ctx;
     WorkCounts &counts;
-    std::unordered_map<int, std::unique_ptr<std::vector<double>>> arena;
+    std::unordered_map<int, std::vector<double>> arena;
+
+    void element(int64_t) { counts.iterations++; }
+
+    void nested(const Stmt &s) { walkNested(s, ctx, *this); }
+
+    /** A filter's local holds its static upper bound `n` (survivors
+     *  compact into its prefix); a groupBy's holds its key domain. */
+    void
+    bindLocal(const Stmt &s, int64_t n)
+    {
+        if (s.pattern->kind == PatternKind::GroupBy)
+            n = asIndex(evalExpr(s.pattern->keyDomain, ctx));
+        std::vector<double> &store = arena[s.var];
+        if (static_cast<int64_t>(store.size()) < n)
+            store.resize(n);
+        ArraySlot slot;
+        slot.data = store.data();
+        slot.size = n;
+        slot.physSize = static_cast<int64_t>(store.size());
+        slot.elemBytes = scalarBytes(ctx.prog->var(s.var).kind);
+        ctx.arrays[s.var] = slot;
+    }
 };
 
 } // namespace
@@ -277,8 +77,20 @@ ReferenceInterp::run(const Program &prog, const Bindings &args)
     args.seed(ctx);
     ctx.probe = &probe;
 
-    SeqExec exec(prog, ctx, counts);
-    exec.runRoot();
+    ReferenceHooks hooks{{}, ctx, counts, {}};
+    const Pattern &root = prog.root();
+    const int out = prog.rootOutput();
+    const int64_t n = asIndex(evalExpr(root.size, ctx));
+    if (root.kind == PatternKind::GroupBy)
+        seedGroupBy(root, out, ctx);
+    int64_t kept = 0;
+    const double acc = walkRange(root, out, 0, n, kept, ctx, hooks);
+    if (root.kind == PatternKind::Reduce)
+        storeArray(root.site, out, 0, acc, ctx);
+    if (root.kind == PatternKind::Filter) {
+        storeArray(root.site, prog.countOutput(), 0,
+                   static_cast<double>(kept), ctx);
+    }
 
     counts.computeOps = ctx.opCount;
     counts.bytesRead = probe.bytesRead;

@@ -9,9 +9,6 @@
 #ifndef NPP_RUNTIME_REFERENCE_H
 #define NPP_RUNTIME_REFERENCE_H
 
-#include <memory>
-#include <unordered_map>
-
 #include "runtime/binding.h"
 
 namespace npp {

@@ -1,12 +1,12 @@
 #include "sim/executor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "ir/traverse.h"
+#include "runtime/walk.h"
 #include "sim/classify.h"
 #include "sim/coalesce.h"
 #include "support/logging.h"
@@ -17,12 +17,6 @@
 namespace npp {
 
 namespace {
-
-int64_t
-asIndex(double v)
-{
-    return static_cast<int64_t>(std::llround(v));
-}
 
 double
 log2i(int64_t v)
@@ -118,12 +112,8 @@ class DeviceExecutor
         // GroupBy seeds its key domain with the combiner identity (the
         // generated code memsets / initializes the output first).
         if (prog.root().kind == PatternKind::GroupBy) {
-            const int out = prog.rootOutput();
             ctx.probe = nullptr;
-            for (int64_t k = 0; k < ctx.arrays[out].size; k++) {
-                storeArray(prog.root().site, out, k,
-                           combinerIdentity(prog.root().combiner), ctx);
-            }
+            seedGroupBy(prog.root(), prog.rootOutput(), ctx);
             ctx.probe = &probe;
         }
 
@@ -326,6 +316,8 @@ class DeviceExecutor
         const int64_t parents = hi - lo;
         const size_t numLets = consPrefixVars.size();
         const uint64_t sigSave = curSig;
+        LaneHooks parentHooks{{}, *this, 0};
+        LaneHooks childHooks{{}, *this, 1};
 
         // Phase A: prologue + extent gather.
         consParentExtent.assign(parents, 0);
@@ -336,7 +328,7 @@ class DeviceExecutor
             const int64_t idx = lo + t + rootOff;
             ctx.scalars[root.indexVar] = static_cast<double>(idx);
             curLevelIndex[0] = idx;
-            runStmtList(consPrefix, 0);
+            walkStmts(consPrefix, ctx, parentHooks);
             consParentExtent[t] = std::max<int64_t>(
                 0, asIndex(evalExpr(inner.size, ctx)));
             for (size_t v = 0; v < numLets; v++)
@@ -375,7 +367,7 @@ class DeviceExecutor
                 restoreConsolidatedParent(p, lo, rootOff);
                 ctx.scalars[inner.indexVar] = static_cast<double>(j);
                 curLevelIndex[1] = j;
-                runStmts(inner.body, 1);
+                walkStmts(inner.body, ctx, childHooks);
                 if (isReduce) {
                     consAcc[p] = applyOp(inner.combiner, consAcc[p],
                                          evalExpr(inner.yield, ctx));
@@ -405,7 +397,7 @@ class DeviceExecutor
             restoreConsolidatedParent(t, lo, rootOff);
             if (isReduce && consNested->var >= 0)
                 ctx.scalars[consNested->var] = consAcc[t];
-            runStmtList(consSuffix, 0);
+            walkStmts(consSuffix, ctx, parentHooks);
             if (root.kind == PatternKind::Map ||
                 root.kind == PatternKind::ZipWith) {
                 storeArray(root.site, prog.rootOutput(), lo + t + rootOff,
@@ -971,10 +963,8 @@ class DeviceExecutor
           }
         }
 
-        double acc = 0.0;
-        const bool isReduce = p.kind == PatternKind::Reduce;
-        if (isReduce)
-            acc = combinerIdentity(p.combiner);
+        double acc = combinerIdentity(p.combiner);
+        const int out = isRoot ? prog.rootOutput() : resultVar;
 
         // A nested groupBy's local is seeded with the combiner identity
         // before accumulation, like the root groupBy's output memset
@@ -982,15 +972,15 @@ class DeviceExecutor
         if (!isRoot && p.kind == PatternKind::GroupBy) {
             MemProbe *save = ctx.probe;
             ctx.probe = nullptr;
-            for (int64_t k = 0; k < ctx.arrays[resultVar].size; k++) {
-                storeArray(p.site, resultVar, k,
-                           combinerIdentity(p.combiner), ctx);
-            }
+            seedGroupBy(p, out, ctx);
             ctx.probe = save;
         }
 
-        // Nested filter: survivors compact into the local's prefix.
+        // A root filter appends at the launch-wide cursor; a nested one
+        // compacts into its local's prefix.
         int64_t localCursor = 0;
+        int64_t &cursor = isRoot ? filterCursor : localCursor;
+        LaneHooks hooks{{}, *this, lv};
 
         const int64_t lanes = std::max<int64_t>(g.blockSize, 1);
         const uint64_t sigSave = curSig;
@@ -1009,57 +999,15 @@ class DeviceExecutor
                 ctx.scalars[p.indexVar] = static_cast<double>(idx);
                 curLevelIndex[lv] = idx;
 
-                runStmts(p.body, lv);
-
-                switch (p.kind) {
-                  case PatternKind::Map:
-                  case PatternKind::ZipWith:
-                    if (isRoot) {
-                        storeArray(p.site, prog.rootOutput(), idx,
-                                   evalExpr(p.yield, ctx), ctx);
-                    } else {
-                        emitLocalElement(resultVar, p, idx);
-                    }
-                    break;
-                  case PatternKind::Reduce:
-                    acc = applyOp(p.combiner, acc,
-                                  evalExpr(p.yield, ctx));
-                    break;
-                  case PatternKind::Foreach:
-                    break;
-                  case PatternKind::Filter:
-                    if (evalExpr(p.filterPred, ctx) != 0.0) {
-                        if (isRoot) {
-                            storeArray(p.site, prog.rootOutput(),
-                                       filterCursor++,
-                                       evalExpr(p.yield, ctx), ctx);
-                        } else {
-                            storeArray(p.site, resultVar, localCursor++,
-                                       evalExpr(p.yield, ctx), ctx);
-                        }
-                    }
-                    break;
-                  case PatternKind::GroupBy: {
-                    const int64_t key =
-                        asIndex(evalExpr(p.key, ctx));
-                    const int out = isRoot ? prog.rootOutput() : resultVar;
-                    NPP_ASSERT(key >= 0 && key < ctx.arrays[out].size,
-                               "groupBy key {} out of range", key);
-                    const double prev = loadArray(p.site, out, key, ctx);
-                    storeArray(p.site, out, key,
-                               applyOp(p.combiner, prev,
-                                       evalExpr(p.yield, ctx)),
-                               ctx);
-                    break;
-                  }
-                }
+                walkStmts(p.body, ctx, hooks);
+                stepPattern(p, out, idx, acc, cursor, ctx);
             }
         }
         if (laneBound)
             unbindLane(g.dim);
         setSig(sigSave);
 
-        if (isReduce)
+        if (p.kind == PatternKind::Reduce)
             finishReduce(p, lv, isRoot, resultVar, acc);
 
         if (!isRoot && p.kind == PatternKind::Filter) {
@@ -1098,14 +1046,6 @@ class DeviceExecutor
             ceilDiv(size, std::max<int64_t>(g.blockSize, 1));
     }
 
-    /** Store one nested-map element into its (pre)allocated local. */
-    void
-    emitLocalElement(int resultVar, const Pattern &p, int64_t idx)
-    {
-        NPP_ASSERT(resultVar >= 0, "nested map without result var");
-        storeArray(p.site, resultVar, idx, evalExpr(p.yield, ctx), ctx);
-    }
-
     void
     finishReduce(const Pattern &p, int lv, bool isRoot, int resultVar,
                  double acc)
@@ -1141,7 +1081,6 @@ class DeviceExecutor
             } else {
                 // Defer the enclosing yield to replayRootWithTotals().
                 deferredNested = &p;
-                deferNestedPending = true;
                 ctx.scalars[resultVar] = slot.value; // partial (unused)
             }
             stats.hasCombiner = true;
@@ -1194,62 +1133,44 @@ class DeviceExecutor
     // Statements
     //
 
-    void
-    runStmts(const std::vector<StmtPtr> &stmts, int lv)
+    /** Where a SeqLoop started: the signature and op count to restore
+     *  and measure against. */
+    struct LoopMark
     {
-        for (const auto &s : stmts)
-            runStmt(*s, lv);
-    }
+        uint64_t sig;
+        uint64_t ops;
+    };
 
-    /** The consolidated path executes prefix/suffix slices of the root
-     *  body as raw-pointer lists (they alias the owning vector). */
-    void
-    runStmtList(const std::vector<const Stmt *> &stmts, int lv)
+    /** Mapped execution through the shared walker: nested patterns run
+     *  across their level's lanes (execNested), and every SeqLoop
+     *  iteration gets its own signature plus a divergence record. `lv`
+     *  is the level of the pattern whose body is walked. */
+    struct LaneHooks : WalkHooks
     {
-        for (const Stmt *s : stmts)
-            runStmt(*s, lv);
-    }
+        DeviceExecutor &ex;
+        int lv;
 
-    void
-    runStmt(const Stmt &s, int lv)
-    {
-        switch (s.kind) {
-          case StmtKind::Let:
-          case StmtKind::Assign:
-            ctx.scalars[s.var] = evalExpr(s.value, ctx);
-            break;
-          case StmtKind::Store:
-            storeArray(s.site, s.array,
-                       asIndex(evalExpr(s.index, ctx)),
-                       evalExpr(s.value, ctx), ctx);
-            break;
-          case StmtKind::If:
-            if (evalExpr(s.cond, ctx) != 0.0)
-                runStmts(s.body, lv);
-            else
-                runStmts(s.elseBody, lv);
-            break;
-          case StmtKind::SeqLoop: {
-            const int64_t trip = asIndex(evalExpr(s.trip, ctx));
-            const uint64_t sigSave = curSig;
-            const uint64_t ops0 = ctx.opCount;
-            for (int64_t k = 0; k < trip; k++) {
-                ctx.scalars[s.var] = static_cast<double>(k);
-                if (s.cond && evalExpr(s.cond, ctx) != 0.0)
-                    break;
-                setSig(sigSave * 16777619ull +
-                       static_cast<uint64_t>(k) + 1);
-                runStmts(s.body, lv);
-            }
-            setSig(sigSave);
-            recordDivergence(s.site, ctx.opCount - ops0);
-            break;
-          }
-          case StmtKind::Nested:
-            execNested(s, lv + 1);
-            break;
+        void nested(const Stmt &s) { ex.execNested(s, lv + 1); }
+
+        LoopMark
+        loopEnter(const Stmt &)
+        {
+            return {ex.curSig, ex.ctx.opCount};
         }
-    }
+
+        void
+        loopIteration(LoopMark m, int64_t k)
+        {
+            ex.setSig(m.sig * 16777619ull + static_cast<uint64_t>(k) + 1);
+        }
+
+        void
+        loopExit(const Stmt &s, LoopMark m)
+        {
+            ex.setSig(m.sig);
+            ex.recordDivergence(s.site, ex.ctx.opCount - m.ops);
+        }
+    };
 
     void
     execNested(const Stmt &s, int lv)
@@ -1398,7 +1319,7 @@ class DeviceExecutor
             stats.combinerTransactions += parts.size() + 1;
             stats.combinerOps += parts.size();
             stats.combinerThreads = 1;
-        } else if (deferNestedPending) {
+        } else if (deferredNested) {
             replayRootWithTotals();
         }
         probe.countTraffic = true;
@@ -1420,14 +1341,10 @@ class DeviceExecutor
                                  ? shardSize
                                  : asIndex(evalExpr(root.size, ctx));
         const int64_t off = shardSize >= 0 ? shardLo : 0;
-        for (int64_t local = 0; local < size; local++) {
-            const int64_t i = off + local;
-            ctx.scalars[root.indexVar] = static_cast<double>(i);
-            curLevelIndex[0] = i;
-            replayStmts(root.body, 1);
-            storeArray(root.site, prog.rootOutput(), i,
-                       evalExpr(root.yield, ctx), ctx);
-        }
+        ReplayHooks hooks{{}, *this, 0};
+        int64_t unused = 0;
+        walkRange(root, prog.rootOutput(), off, off + size, unused, ctx,
+                  hooks);
         ctx.probe = &probe;
 
         // Combiner kernel traffic: read outer*k partials, write outer.
@@ -1443,107 +1360,40 @@ class DeviceExecutor
         stats.combinerThreads = size;
     }
 
-    /** Statement replay for the combiner pass: nested split reduces read
-     *  their combined totals; everything else re-executes silently. */
-    void
-    replayStmts(const std::vector<StmtPtr> &stmts, int lv)
+    /** The combiner pass through the shared walker: Stores already took
+     *  effect in the main kernel, split-level reduces read their combined
+     *  totals, and other nested work reruns sequentially with its locals
+     *  bound through the prealloc plan. `lv` is the level of the pattern
+     *  whose body is walked. */
+    struct ReplayHooks : WalkHooks
     {
-        for (const auto &s : stmts) {
-            switch (s->kind) {
-              case StmtKind::Let:
-              case StmtKind::Assign:
-                ctx.scalars[s->var] = evalExpr(s->value, ctx);
-                break;
-              case StmtKind::Store:
-                // Effects already happened in the main kernel.
-                break;
-              case StmtKind::If:
-                if (evalExpr(s->cond, ctx) != 0.0)
-                    replayStmts(s->body, lv);
-                else
-                    replayStmts(s->elseBody, lv);
-                break;
-              case StmtKind::SeqLoop: {
-                const int64_t trip = asIndex(evalExpr(s->trip, ctx));
-                for (int64_t k = 0; k < trip; k++) {
-                    ctx.scalars[s->var] = static_cast<double>(k);
-                    if (s->cond && evalExpr(s->cond, ctx) != 0.0)
-                        break;
-                    replayStmts(s->body, lv);
-                }
-                break;
-              }
-              case StmtKind::Nested: {
-                const Pattern &p = *s->pattern;
-                if (geom.levels[lv].span.kind == SpanKind::Split &&
-                    p.kind == PatternKind::Reduce) {
-                    const auto &parts = splitPartials.at(&p);
-                    const uint64_t key = outerKey(lv);
-                    auto it = parts.find(key);
-                    NPP_ASSERT(it != parts.end(),
-                               "missing split partial");
-                    ctx.scalars[s->var] = it->second.value;
-                } else {
-                    // Non-split nested work re-executes sequentially.
-                    replayNestedSequential(*s, lv);
-                }
-                break;
-              }
-            }
-        }
-    }
+        static constexpr bool kRunStores = false;
+        DeviceExecutor &ex;
+        int lv;
 
-    void
-    replayNestedSequential(const Stmt &s, int lv)
-    {
-        const Pattern &p = *s.pattern;
-        const int64_t size = asIndex(evalExpr(p.size, ctx));
-        if (s.var >= 0 && prog.var(s.var).role == VarRole::ArrayLocal)
-            bindLocalArray(s, p);
-        if (p.kind == PatternKind::GroupBy) {
-            for (int64_t k = 0; k < ctx.arrays[s.var].size; k++)
-                storeArray(p.site, s.var, k,
-                           combinerIdentity(p.combiner), ctx);
+        void element(int64_t i) { ex.curLevelIndex[lv] = i; }
+
+        void
+        bindLocal(const Stmt &s, int64_t)
+        {
+            ex.bindLocalArray(s, *s.pattern);
         }
-        double acc = combinerIdentity(p.combiner);
-        int64_t cursor = 0;
-        for (int64_t i = 0; i < size; i++) {
-            ctx.scalars[p.indexVar] = static_cast<double>(i);
-            curLevelIndex[lv] = i;
-            replayStmts(p.body, lv + 1);
-            switch (p.kind) {
-              case PatternKind::Reduce:
-                acc = applyOp(p.combiner, acc, evalExpr(p.yield, ctx));
-                break;
-              case PatternKind::Filter:
-                if (evalExpr(p.filterPred, ctx) != 0.0) {
-                    storeArray(p.site, s.var, cursor++,
-                               evalExpr(p.yield, ctx), ctx);
-                }
-                break;
-              case PatternKind::GroupBy: {
-                const int64_t key = asIndex(evalExpr(p.key, ctx));
-                const double prev = loadArray(p.site, s.var, key, ctx);
-                storeArray(p.site, s.var, key,
-                           applyOp(p.combiner, prev,
-                                   evalExpr(p.yield, ctx)),
-                           ctx);
-                break;
-              }
-              case PatternKind::Foreach:
-                break;
-              default:
-                if (s.var >= 0)
-                    storeArray(p.site, s.var, i, evalExpr(p.yield, ctx),
-                               ctx);
-                break;
+
+        void
+        nested(const Stmt &s)
+        {
+            if (ex.geom.levels[lv + 1].span.kind == SpanKind::Split &&
+                s.pattern->kind == PatternKind::Reduce) {
+                const auto &parts = ex.splitPartials.at(s.pattern.get());
+                auto it = parts.find(ex.outerKey(lv + 1));
+                NPP_ASSERT(it != parts.end(), "missing split partial");
+                ex.ctx.scalars[s.var] = it->second.value;
+                return;
             }
+            ReplayHooks inner{{}, ex, lv + 1};
+            walkNested(s, ex.ctx, inner);
         }
-        if (p.kind == PatternKind::Reduce)
-            ctx.scalars[s.var] = acc;
-        if (p.kind == PatternKind::Filter)
-            ctx.scalars[s.countVar] = static_cast<double>(cursor);
-    }
+    };
 
     void
     finishFilterCount()
@@ -1758,7 +1608,6 @@ class DeviceExecutor
         splitPartials;
     const Pattern *deferredRootReduce = nullptr;
     const Pattern *deferredNested = nullptr;
-    bool deferNestedPending = false;
     int64_t filterCursor = 0;
     int64_t compactionElems = 0;
     int64_t compactionKept = 0;

@@ -127,6 +127,62 @@ TEST(Constraints, DynamicSizeIsNotSplittable)
     EXPECT_GT(coalesceWeight(cs, 1), 0.0);
 }
 
+TEST(Constraints, EnclosingStoreIsNotSplittable)
+{
+    // Split(k) reruns the enclosing body in every segment block, so a
+    // Store there (here under an If) would take effect k times. A Store
+    // inside a sibling nested pattern runs per segment and is harmless.
+    auto build = [](bool storeInBody) {
+        ProgramBuilder b("g");
+        Arr m = b.inF64("m");
+        Arr io = b.inOutF64("io");
+        Ex r = b.paramI64("R"), c = b.paramI64("C");
+        Arr out = b.outF64("out");
+        b.map(r, out, [&](Body &fn, Ex i) {
+            if (storeInBody) {
+                fn.branch(m(i) > 0.0, [&](Body &then) {
+                    then.store(io, i, io(i) + 1.0);
+                });
+            } else {
+                fn.foreach(c, [&](Body &body, Ex j) {
+                    body.store(io, i * c + j, io(i * c + j) + 1.0);
+                });
+            }
+            return fn.reduce(c, Op::Add,
+                             [&](Body &, Ex j) { return m(i * c + j); });
+        });
+        return b.build();
+    };
+    const Program stores = build(true);
+    const ConstraintSet cs = constraintsFor(stores);
+    EXPECT_FALSE(cs.splittable[1]);
+    EXPECT_NE(cs.unsplittableReason[1].find("Store"), std::string::npos)
+        << cs.unsplittableReason[1];
+
+    const Program nestedStores = build(false);
+    const ConstraintSet ok = constraintsFor(nestedStores);
+    EXPECT_TRUE(ok.splittable[1]);
+    EXPECT_TRUE(ok.unsplittableReason[1].empty());
+
+    // Every enclosing body counts, not just the nearest: segment blocks
+    // of a level-2 split rerun the root body too.
+    ProgramBuilder b("deep");
+    Arr m = b.inF64("m");
+    Arr io = b.inOutF64("io");
+    Ex r = b.paramI64("R"), c = b.paramI64("C");
+    Arr out = b.outF64("out");
+    b.map(r, out, [&](Body &fn, Ex i) {
+        fn.store(io, i, io(i) + 1.0);
+        Arr w = fn.map(Ex(4), [&](Body &row, Ex) {
+            return row.reduce(c, Op::Add,
+                              [&](Body &, Ex k) { return m(i * c + k); });
+        });
+        return w(Ex(0.0));
+    });
+    const Program deep = b.build();
+    EXPECT_FALSE(constraintsFor(deep).splittable[2]);
+}
+
 TEST(Constraints, BranchDiscountHalvesWeight)
 {
     auto build = [](bool underBranch) {

@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+
 #include "apps/rodinia.h"
 #include "apps/realworld.h"
 #include "apps/sums.h"
+#include "server/programs.h"
 
 namespace npp {
 namespace {
@@ -77,6 +82,119 @@ TEST(AppManuals, ManualImplementationsRun)
         if (!app->hasManual())
             continue;
         EXPECT_GT(app->runManualMs(gpu), 0.0) << app->name();
+    }
+}
+
+//
+// Reference-interpreter golden: exact work counts plus an output
+// checksum per app and demo program, so any change to the sequential
+// semantics that moves one op, byte, iteration or output bit fails here.
+// Only Fig 14 carries cpuMs into the figure rows; this covers the rest.
+//
+
+struct Golden
+{
+    const char *name;
+    uint64_t computeOps, bytesRead, bytesWritten, iterations, checksum;
+};
+
+/** One golden row as source text, so a failure prints the actual row
+ *  ready to paste. */
+std::string
+goldenRow(const Golden &g)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "{\"%s\", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                  ", 0x%016" PRIx64 "ull},",
+                  g.name, g.computeOps, g.bytesRead, g.bytesWritten,
+                  g.iterations, g.checksum);
+    return buf;
+}
+
+std::string
+goldenRow(const std::string &name, const WorkCounts &w,
+          const std::vector<double> &outputs)
+{
+    // FNV-1a over the outputs' bit patterns.
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (double v : outputs) {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        h = (h ^ bits) * 0x100000001b3ull;
+    }
+    return goldenRow({name.c_str(), w.computeOps, w.bytesRead,
+                      w.bytesWritten, w.iterations, h});
+}
+
+TEST(ReferenceWork, AppsMatchGolden)
+{
+    const Golden golden[] = {
+        {"NearestNeighbor", 53248, 65536, 32768, 4096, 0x667e18efd2ca538aull},
+        {"Gaussian(R)", 691652, 929472, 312832, 39104, 0x72789b745f358ae3ull},
+        {"Gaussian(C)", 692827, 929472, 312832, 39151, 0x72789b745f358ae3ull},
+        {"Hotspot(R)", 250944, 218112, 36864, 4704, 0xfb56d9423233db8dull},
+        {"Hotspot(C)", 250944, 218112, 36864, 4704, 0xfb56d9423233db8dull},
+        {"Mandelbrot(R)", 201644, 0, 18432, 2328, 0x50dfec18a0f85725ull},
+        {"Mandelbrot(C)", 201644, 0, 18432, 2400, 0x50dfec18a0f85725ull},
+        {"Srad(R)", 649600, 332800, 51200, 6560, 0xdfd3fe3e90fc6557ull},
+        {"Srad(C)", 649600, 332800, 51200, 6560, 0xdfd3fe3e90fc6557ull},
+        {"Pathfinder", 127975, 163760, 40960, 5200, 0xceae8627df287325ull},
+        {"LUD", 424996, 505440, 170560, 22100, 0x0a41a69c0b5f7b42ull},
+        {"BFS", 130379, 347680, 48600, 28931, 0xa3911cf8df2ec325ull},
+        {"QPSCD HogWild", 247296, 528384, 131072, 33024, 0x4e2c5b2b2397f25bull},
+        {"KMeans", 1177602, 1884160, 116352, 112640, 0x381b229867ea6651ull},
+        {"MSMBuilder", 47808, 73728, 2304, 4920, 0xe0129d2290d5793dull},
+        {"NaiveBayes", 67584, 147456, 1280, 12448, 0x5cf329c331cabfa5ull},
+        {"PageRank", 236288, 556928, 121216, 28256, 0x3fc1569b92db73bdull},
+    };
+    const auto apps = smallApps();
+    ASSERT_EQ(apps.size(), std::size(golden));
+    for (size_t i = 0; i < apps.size(); i++) {
+        Runner reference;
+        const std::vector<double> out = apps[i]->hostLoop(reference);
+        EXPECT_EQ(goldenRow(apps[i]->name(), reference.work, out),
+                  goldenRow(golden[i]));
+    }
+}
+
+TEST(ReferenceWork, DemoProgramsMatchGolden)
+{
+    const Golden golden[] = {
+        {"sumrows", 7680, 15360, 384, 1968, 0xcf1d2e92abb94308ull},
+        {"sumcols", 7680, 15360, 320, 1960, 0x6f15dd8f80f80808ull},
+        {"weightedrows", 17280, 46080, 15744, 3888, 0xcf1d2e92abb94308ull},
+        {"weightedcols", 17280, 46080, 15680, 3880, 0x6f15dd8f80f80808ull},
+        {"pagerank", 45340, 108400, 23120, 5480, 0x18914487bcc2bac4ull},
+        {"mandelbrot", 119052, 0, 7680, 984, 0xf1f206f7e7a28e25ull},
+        {"spmv", 25068, 66848, 1600, 2852, 0x5c67c82575e9e65dull},
+    };
+    const std::map<std::string, std::map<std::string, int64_t>> sizes = {
+        {"sumrows", {{"rows", 48}, {"cols", 40}}},
+        {"sumcols", {{"rows", 48}, {"cols", 40}}},
+        {"weightedrows", {{"rows", 48}, {"cols", 40}}},
+        {"weightedcols", {{"rows", 48}, {"cols", 40}}},
+        {"pagerank", {{"nodes", 300}}},
+        {"mandelbrot", {{"height", 24}, {"width", 40}}},
+        {"spmv", {{"rows", 200}}},
+    };
+    const std::vector<std::string> &names = demoProgramNames();
+    ASSERT_EQ(names.size(), std::size(golden));
+    for (size_t i = 0; i < names.size(); i++) {
+        const auto demo = buildDemoProgram(names[i], sizes.at(names[i]),
+                                           nullptr);
+        ASSERT_TRUE(demo) << names[i];
+        Bindings args(*demo->prog);
+        demo->bind(args);
+        const WorkCounts work = ReferenceInterp().run(*demo->prog, args);
+        std::vector<double> out;
+        for (const auto &v : demo->prog->vars()) {
+            if (v.role != VarRole::ArrayParam || !v.isOutput)
+                continue;
+            const ArraySlot &slot = args.arraySlot(v.id);
+            out.insert(out.end(), slot.data, slot.data + slot.size);
+        }
+        EXPECT_EQ(goldenRow(names[i], work, out), goldenRow(golden[i]));
     }
 }
 

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "codegen/compile.h"
 #include "ir/builder.h"
+#include "server/programs.h"
 
 namespace npp {
 namespace {
@@ -217,6 +220,30 @@ TEST(CudaEmit, ParamListTypesAndConstness)
     EXPECT_NE(cuda.find("const double *m"), std::string::npos);
     EXPECT_NE(cuda.find("double *out"), std::string::npos);
     EXPECT_NE(cuda.find("long long R"), std::string::npos);
+}
+
+TEST(CudaEmit, NoDemoProgramPrintsANumericBlockDim)
+{
+    // Prefetched reads index the staging buffer modulo the lanes that
+    // fill it (threadIdx.x), so the member is always a dim letter.
+    const std::regex numericDim("blockDim\\.[0-9]");
+    for (const std::string &name : demoProgramNames()) {
+        const std::unique_ptr<DemoProgram> demo =
+            buildDemoProgram(name, {}, nullptr);
+        ASSERT_TRUE(demo) << name;
+        for (Strategy strategy :
+             {Strategy::MultiDim, Strategy::OneD,
+              Strategy::ThreadBlockThread, Strategy::WarpBased,
+              Strategy::Consolidate}) {
+            CompileOptions copts;
+            copts.strategy = strategy;
+            copts.paramValues = demo->params;
+            copts.fuseMapReduce = demo->fuse;
+            EXPECT_FALSE(std::regex_search(compileToCuda(*demo->prog, copts),
+                                           numericDim))
+                << name << " under " << strategyName(strategy);
+        }
+    }
 }
 
 } // namespace

@@ -390,6 +390,78 @@ TEST(FixedMappingSweep, SplitYieldReadsSiblingMap)
     EXPECT_GT(sweepFixedMappings(c), 8);
 }
 
+/** Every statement kind around a split reduce: the combiner replay must
+ *  rebuild the mutable (SeqLoop with a break, If/else) and the sibling
+ *  map `w` for the yield, and must not rerun the nested Foreach's
+ *  in-place stores, which took effect once in the main kernel. */
+TEST(FixedMappingSweep, SplitReplayWalksEveryStatementKind)
+{
+    const int64_t R = 40, C = 70;
+    ProgramBuilder b("splitReplay");
+    Arr m = b.inF64("m");
+    Arr io = b.inOutF64("io");
+    Ex r = b.paramI64("R"), cc = b.paramI64("C");
+    Arr out = b.outF64("out");
+    b.map(r, out, [&](Body &fn, Ex i) {
+        Mut acc = fn.mut("acc", Ex(0.0));
+        fn.seqLoop(
+            Ex(8),
+            [&](Body &body, Ex k) {
+                body.assign(acc, acc.ex() + m(i * cc + k) + 1.0);
+            },
+            acc.ex() > 3.0);
+        fn.branch(
+            m(i * cc) > 0.0,
+            [&](Body &body) { body.assign(acc, acc.ex() * 2.0); },
+            [&](Body &body) { body.assign(acc, acc.ex() - 1.0); });
+        fn.foreach(cc, [&](Body &body, Ex j) {
+            body.store(io, i * cc + j, io(i * cc + j) + 1.0);
+        });
+        Arr w = fn.map(cc,
+                       [&](Body &, Ex j) { return 2.0 * m(i * cc + j); });
+        Ex s = fn.reduce(cc, Op::Add,
+                         [&](Body &, Ex j) { return m(i * cc + j); });
+        return acc.ex() + s + w(Ex(0.0));
+    });
+    Case c;
+    c.name = "splitReplay";
+    c.prog = std::make_shared<Program>(b.build());
+    c.bindInputs = [=](Bindings &args) {
+        args.scalar(r, static_cast<double>(R));
+        args.scalar(cc, static_cast<double>(C));
+        args.array(m, sharedMatrix(R * C));
+    };
+    c.outputs = {{out, R}, {io, R * C}};
+    EXPECT_GT(sweepFixedMappings(c), 8);
+}
+
+/** A Store in the enclosing body beside a splittable reduce would run
+ *  once per Split(k) segment block, so level 1 must refuse Split. */
+TEST(FixedMappingSweep, EnclosingStoreRefusesSplit)
+{
+    const int64_t R = 40, C = 70;
+    ProgramBuilder b("splitStore");
+    Arr m = b.inF64("m");
+    Arr io = b.inOutF64("io");
+    Ex r = b.paramI64("R"), cc = b.paramI64("C");
+    Arr out = b.outF64("out");
+    b.map(r, out, [&](Body &fn, Ex i) {
+        fn.store(io, i, io(i) + 1.0);
+        return fn.reduce(cc, Op::Add,
+                         [&](Body &, Ex j) { return m(i * cc + j); });
+    });
+    Case c;
+    c.name = "splitStore";
+    c.prog = std::make_shared<Program>(b.build());
+    c.bindInputs = [=](Bindings &args) {
+        args.scalar(r, static_cast<double>(R));
+        args.scalar(cc, static_cast<double>(C));
+        args.array(m, sharedMatrix(R * C));
+    };
+    c.outputs = {{out, R}, {io, R}};
+    EXPECT_GT(sweepFixedMappings(c), 8);
+}
+
 //
 // Filter and GroupBy equivalence under their (span-all) mappings.
 //

@@ -7,19 +7,7 @@
 #   tools/check.sh asan         # AddressSanitizer + UBSan build + ctest
 #   tools/check.sh tsan         # ThreadSanitizer build + ctest
 #   tools/check.sh ubsan        # UBSan-only build + ctest
-#   tools/check.sh differential # build + classed-vs-full suite only
-#   tools/check.sh coalesce     # asan build + shift-invariance and
-#                               # differential suites
-#   tools/check.sh server       # mapping-service + disk-cache suite in
-#                               # the default AND asan trees
-#   tools/check.sh multidev     # multi-device sharding suite in the
-#                               # default AND asan trees
-#   tools/check.sh dynsize      # runtime-sized-domain suite (randomized
-#                               # parity + consolidation differentials)
-#                               # in the default AND asan trees
-#   tools/check.sh predict      # learned-cost-model suite (featurizer
-#                               # determinism, hostile model files,
-#                               # pruned-vs-full sweep differential) in
+#   tools/check.sh label REGEX  # the ctest label(s) matching REGEX in
 #                               # the default AND asan trees
 #   tools/check.sh all          # all four builds, in order
 #   tools/check.sh rows [BASE]  # row identity: build BASE (default HEAD)
@@ -28,36 +16,29 @@
 #                               # and every demo program's nppc --stats
 #                               # export against the working tree
 #
-# Every ctest invocation runs the full suite, including the classed
-# differential tests (labeled `differential`), the coalescing-model
-# suite (labeled `coalesce`), the mapping-service suite (labeled
-# `server`), and the multi-device sharding suite (labeled `multidev`); the `differential` job builds the default tree and runs
-# just that label for a quick check of the block-classing bit-exactness
-# contract, the `coalesce` job runs the coalescing-model contracts
-# (shift invariance, classing regressions, classed-vs-full bit
-# identity) under AddressSanitizer, and the `server` job runs the
-# mapping-service protocol, request-coalescing, and hostile-disk-entry
-# tests twice — default build for speed, asan build so corrupt cache
-# files and malformed requests exercise the deserializer under
-# sanitizers. The `multidev` job runs the outer-domain partitioner and
-# fleet-sharding contracts (N=1 bit identity, shard/fleet cache-key
-# separation) in the default and asan trees. The `dynsize` job runs the
-# runtime-sized-domain suite (seeded randomized CSR parity, the
-# consolidation-vs-static differential, and the mapping-service
-# consolidation-verdict regression, labeled `dynsize`) in the default
-# and asan trees. The `predict` job runs the learned-cost-model suite
-# (featurizer determinism across rebuilds, corrupt/truncated/stale
-# model files rejected as "no model", the pruned-vs-full sweep
-# differential on every demo program, and NPP_PREDICT* env hardening,
-# labeled `predict`) in the default and asan trees. Each server-suite
-# test creates its own temp
-# NPP_EVAL_CACHE_DIR, so parallel jobs never share cache state.
+# Every ctest invocation runs the full suite. The labels pick out the
+# suites worth a quick focused rerun, and the `label` job runs them in
+# the default tree for speed and in the asan tree so hostile inputs
+# (corrupt cache and model files, malformed requests) exercise the
+# deserializers under sanitizers:
+#   differential  block classing is bit-exact against full simulation
+#   coalesce      coalescing-model contracts (shift invariance)
+#   server        mapping service, request coalescing, hostile disk
+#                 entries (each test uses its own NPP_EVAL_CACHE_DIR)
+#   multidev      outer-domain partitioner and fleet sharding
+#   dynsize       runtime-sized domains and consolidation differentials
+#   predict       learned cost model: featurizer determinism, hostile
+#                 model files, pruned-vs-full sweep differential
+# e.g. `tools/check.sh label 'coalesce|differential'`.
 #
 # The `rows` job proves a change leaves every result byte-identical: the
 # figure rows (full precision) and the simulator counter export of all
 # seven demo programs, plus spmv under Strategy::Consolidate so the
-# consolidation fields are non-zero. Both trees run with every NPP_*
-# variable unset, so neither can replay the other's disk-cache entries.
+# consolidation fields are non-zero, and three shapes whose searched
+# mapping is Split(k) (sumrows and weightedrows at 16x200000, sumcols
+# at 200000x16) so the combiner and its replay are covered. Both trees
+# run with every NPP_* variable unset, so neither can replay the other's
+# disk-cache entries.
 #
 # Each job uses its own build directory (build/, build-asan/,
 # build-tsan/, build-ubsan/, build-rows/) so sanitizer and plain objects
@@ -91,58 +72,17 @@ tsan)
 ubsan)
     run_job ubsan build-ubsan -DNPP_UBSAN=ON
     ;;
-differential)
-    echo "== check: differential (build) =="
-    cmake -B build -S .
-    cmake --build build -j
-    ctest --test-dir build --output-on-failure -j "$(nproc)" -L differential
-    ;;
-coalesce)
-    echo "== check: coalesce (build-asan) =="
-    cmake -B build-asan -S . -DNPP_ASAN=ON
-    cmake --build build-asan -j
-    ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-        -L 'coalesce|differential'
-    ;;
-server)
-    echo "== check: server (build) =="
-    cmake -B build -S .
-    cmake --build build -j
-    ctest --test-dir build --output-on-failure -j "$(nproc)" -L server
-    echo "== check: server (build-asan) =="
-    cmake -B build-asan -S . -DNPP_ASAN=ON
-    cmake --build build-asan -j
-    ctest --test-dir build-asan --output-on-failure -j "$(nproc)" -L server
-    ;;
-multidev)
-    echo "== check: multidev (build) =="
-    cmake -B build -S .
-    cmake --build build -j
-    ctest --test-dir build --output-on-failure -j "$(nproc)" -L multidev
-    echo "== check: multidev (build-asan) =="
-    cmake -B build-asan -S . -DNPP_ASAN=ON
-    cmake --build build-asan -j
-    ctest --test-dir build-asan --output-on-failure -j "$(nproc)" -L multidev
-    ;;
-dynsize)
-    echo "== check: dynsize (build) =="
-    cmake -B build -S .
-    cmake --build build -j
-    ctest --test-dir build --output-on-failure -j "$(nproc)" -L dynsize
-    echo "== check: dynsize (build-asan) =="
-    cmake -B build-asan -S . -DNPP_ASAN=ON
-    cmake --build build-asan -j
-    ctest --test-dir build-asan --output-on-failure -j "$(nproc)" -L dynsize
-    ;;
-predict)
-    echo "== check: predict (build) =="
-    cmake -B build -S .
-    cmake --build build -j
-    ctest --test-dir build --output-on-failure -j "$(nproc)" -L predict
-    echo "== check: predict (build-asan) =="
-    cmake -B build-asan -S . -DNPP_ASAN=ON
-    cmake --build build-asan -j
-    ctest --test-dir build-asan --output-on-failure -j "$(nproc)" -L predict
+label)
+    regex="${2:?usage: tools/check.sh label REGEX}"
+    for dir in build build-asan; do
+        echo "== check: label ${regex} (${dir}) =="
+        flags=()
+        [ "${dir}" = build-asan ] && flags=(-DNPP_ASAN=ON)
+        cmake -B "${dir}" -S . "${flags[@]}"
+        cmake --build "${dir}" -j
+        ctest --test-dir "${dir}" --output-on-failure -j "$(nproc)" \
+            -L "${regex}"
+    done
     ;;
 rows)
     base="${2:-HEAD}"
@@ -173,6 +113,12 @@ rows)
         done
         "${bin}/tools/nppc" spmv --strategy=consolidate --run \
             --stats="${out}/spmv-consolidate.json" >/dev/null
+        for prog in sumrows weightedrows; do
+            "${bin}/tools/nppc" "${prog}" --size=rows=16 --size=cols=200000 \
+                --run --stats="${out}/${prog}-split.json" >/dev/null
+        done
+        "${bin}/tools/nppc" sumcols --size=rows=200000 --size=cols=16 \
+            --run --stats="${out}/sumcols-split.json" >/dev/null
     done
     if ! diff -r "${rows_dir}/out/base" "${rows_dir}/out/head"; then
         echo "== check: rows differ from ${base} ==" >&2
@@ -186,7 +132,7 @@ all)
     run_job ubsan build-ubsan -DNPP_UBSAN=ON
     ;;
 *)
-    echo "usage: tools/check.sh [default|asan|tsan|ubsan|differential|coalesce|server|multidev|dynsize|predict|all|rows [BASE]]" >&2
+    echo "usage: tools/check.sh [default|asan|tsan|ubsan|label REGEX|all|rows [BASE]]" >&2
     exit 2
     ;;
 esac
