@@ -197,8 +197,10 @@ class Generator
                 double trip = 1000.0;
                 if (auto t = constEval(s->trip, env))
                     trip = *t;
+                seqLoopDepth++;
                 visitStmts(s->body, multiplier * std::max(trip, 1.0),
                            level, branchDepth);
+                seqLoopDepth--;
                 break;
               }
               case StmtKind::Nested: {
@@ -216,6 +218,14 @@ class Generator
                     markUnsplittable(level + 1,
                                      "a Store in an enclosing body would "
                                      "run once per segment");
+                } else if (reduce && seqLoopDepth > 0) {
+                    // Partials are keyed by the enclosing indices, not
+                    // by the loop counter, so every iteration would add
+                    // its partial into the same slot.
+                    markUnsplittable(level + 1,
+                                     "a sequential loop around the "
+                                     "reduce would add every iteration's "
+                                     "partial into one slot");
                 }
                 visitPattern(*s->pattern, multiplier, level + 1);
                 break;
@@ -384,6 +394,9 @@ class Generator
     const IntrinsicWeights &weights;
     ConstraintSet &out;
     std::vector<Enclosing> enclosing;
+    /** SeqLoops open around the statement being visited, in this body
+     *  or any enclosing one. */
+    int seqLoopDepth = 0;
 };
 
 } // namespace

@@ -68,9 +68,11 @@ class Runner
     struct Compiled
     {
         std::shared_ptr<CompileResult> result;
-        /** Identifies how the spec was produced; combined with the
-         *  binding fingerprint to key the process-wide EvalCache. */
+        /** Identifies how the spec was produced (reference mode: the
+         *  reference seed); combined with the binding fingerprint to
+         *  key the process-wide EvalCache. */
         uint64_t specSeed = 0;
+        bool seeded = false; //!< reference mode: specSeed computed
     };
 
     const Gpu *gpu_ = nullptr;

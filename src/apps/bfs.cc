@@ -24,18 +24,22 @@ class BfsApp : public App
         // Random graph with skewed degrees (half the average for most
         // nodes, a heavy tail for a few).
         Rng rng(7);
-        rowStart.push_back(0);
+        std::vector<double> starts{0.0}, edges;
         for (int64_t v = 0; v < n; v++) {
             int64_t deg = 1 + static_cast<int64_t>(rng.below(avgDegree));
             if (rng.below(32) == 0)
                 deg *= 8; // hub
             for (int64_t e = 0; e < deg; e++)
-                nbrs.push_back(static_cast<double>(rng.below(n)));
-            rowStart.push_back(static_cast<double>(nbrs.size()));
+                edges.push_back(static_cast<double>(rng.below(n)));
+            starts.push_back(static_cast<double>(edges.size()));
         }
+        rowStart = FrozenArray(std::move(starts));
+        nbrs = FrozenArray(std::move(edges));
         build();
         hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
-        inputBytes_ = static_cast<double>(rowStart.size() + nbrs.size()) * 8;
+        inputBytes_ = static_cast<double>(rowStart.values().size() +
+                                          nbrs.values().size()) *
+                      8;
         absoluteError_ = true;
         // The Rodinia kernel only exploits the top-level parallelism
         // (Section VI-C) — the 1D mapping with raw pointers.
@@ -108,7 +112,7 @@ class BfsApp : public App
     }
 
     int64_t n;
-    std::vector<double> rowStart, nbrs;
+    FrozenArray rowStart, nbrs;
     std::shared_ptr<Program> prog;
     Arr startArr, nbrArr, frontierArr, costArr, visitedArr, nextArr;
     Ex nParam;

@@ -22,11 +22,12 @@ class HotspotApp : public App
     {
         Rng rng(73);
         temp0.resize(n * n);
-        power.resize(n * n);
+        std::vector<double> watts(n * n);
         for (auto &t : temp0)
             t = rng.uniform(320, 340);
-        for (auto &p : power)
+        for (auto &p : watts)
             p = rng.uniform(0, 1e-3);
+        power = FrozenArray(std::move(watts));
         build();
         hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
         inputBytes_ = static_cast<double>(n) * n * 2 * 8;
@@ -104,7 +105,8 @@ class HotspotApp : public App
     int64_t n;
     int iterations;
     bool colMajor;
-    std::vector<double> temp0, power;
+    std::vector<double> temp0;
+    FrozenArray power;
     std::shared_ptr<Program> prog;
     Arr tIn, pArr, tOut;
     Ex nParam;

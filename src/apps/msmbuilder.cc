@@ -22,12 +22,13 @@ class MsmBuilderApp : public App
         : App("MSMBuilder"), n(frames), k(clusters), f(features)
     {
         Rng rng(29);
-        x.resize(n * f);
-        c.resize(k * f);
-        for (auto &v : x)
+        std::vector<double> coords(n * f), centers(k * f);
+        for (auto &v : coords)
             v = rng.uniform(-1, 1);
-        for (auto &v : c)
+        for (auto &v : centers)
             v = rng.uniform(-1, 1);
+        x = FrozenArray(std::move(coords));
+        c = FrozenArray(std::move(centers));
         build();
         hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)},
                               {kParam.ref()->varId, static_cast<double>(k)},
@@ -79,7 +80,7 @@ class MsmBuilderApp : public App
     }
 
     int64_t n, k, f;
-    std::vector<double> x, c;
+    FrozenArray x, c;
     std::shared_ptr<Program> prog;
     Arr xArr, cArr, dArr;
     Ex nParam, kParam, fParam;

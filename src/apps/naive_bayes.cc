@@ -22,12 +22,13 @@ class NaiveBayesApp : public App
         : App("NaiveBayes"), d(docs), w(words)
     {
         Rng rng(37);
-        counts.resize(d * w);
-        isSpam.resize(d);
-        for (auto &v : counts)
+        std::vector<double> wordCounts(d * w), spam(d);
+        for (auto &v : wordCounts)
             v = static_cast<double>(rng.below(4));
-        for (auto &v : isSpam)
+        for (auto &v : spam)
             v = rng.below(2) ? 1.0 : 0.0;
+        counts = FrozenArray(std::move(wordCounts));
+        isSpam = FrozenArray(std::move(spam));
         buildDocTotals();
         buildWordClassCounts();
         hints_.paramValues = {{dParam1.ref()->varId, static_cast<double>(d)},
@@ -103,7 +104,7 @@ class NaiveBayesApp : public App
     }
 
     int64_t d, w;
-    std::vector<double> counts, isSpam;
+    FrozenArray counts, isSpam;
     std::shared_ptr<Program> docTotals, wordClass;
     Arr dtCounts, dtOut, wcCounts, wcSpam, wcOut;
     Ex dParam1, wParam1, dParam2, wParam2;

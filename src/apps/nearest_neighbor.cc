@@ -20,12 +20,13 @@ class NearestNeighborApp : public App
         : App("NearestNeighbor"), n(records)
     {
         Rng rng(101);
-        lat.resize(n);
-        lng.resize(n);
+        std::vector<double> lats(n), lngs(n);
         for (int64_t i = 0; i < n; i++) {
-            lat[i] = rng.uniform(0, 90);
-            lng[i] = rng.uniform(0, 180);
+            lats[i] = rng.uniform(0, 90);
+            lngs[i] = rng.uniform(0, 180);
         }
+        lat = FrozenArray(std::move(lats));
+        lng = FrozenArray(std::move(lngs));
         build();
         hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
         inputBytes_ = static_cast<double>(n) * 2 * 8;
@@ -72,7 +73,7 @@ class NearestNeighborApp : public App
     }
 
     int64_t n;
-    std::vector<double> lat, lng;
+    FrozenArray lat, lng;
     std::shared_ptr<Program> prog;
     Arr latArr, lngArr, distArr;
     Ex nParam, targetLat, targetLng;

@@ -31,9 +31,10 @@ class PathfinderApp : public App
         : App("Pathfinder"), rows(rows), cols(cols)
     {
         Rng rng(17);
-        wall.resize(rows * cols);
-        for (auto &w : wall)
+        std::vector<double> weights(rows * cols);
+        for (auto &w : weights)
             w = static_cast<double>(rng.below(10));
+        wall = FrozenArray(std::move(weights));
         build();
         hints_.paramValues = {{cParam.ref()->varId,
                                static_cast<double>(cols)}};
@@ -106,7 +107,8 @@ class PathfinderApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> src(wall.begin(), wall.begin() + cols);
+        std::vector<double> src(wall.values().begin(),
+                                wall.values().begin() + cols);
         std::vector<double> dst(cols, 0.0);
         for (int64_t r = 1; r < rows; r++) {
             Bindings args(*prog);
@@ -122,7 +124,7 @@ class PathfinderApp : public App
     }
 
     int64_t rows, cols;
-    std::vector<double> wall;
+    FrozenArray wall;
     std::shared_ptr<Program> prog;
     Arr wallArr, srcArr, dstArr;
     Ex cParam, rowParam;

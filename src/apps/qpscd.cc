@@ -23,15 +23,16 @@ class QpscdApp : public App
         : App("QPSCD HogWild"), s(samples), d(dim), epochs(epochs)
     {
         Rng rng(19);
-        a.resize(s * d);
-        y.resize(s);
-        perm.resize(s);
-        for (auto &v : a)
+        std::vector<double> rows(s * d), labels(s), order(s);
+        for (auto &v : rows)
             v = rng.uniform(-1, 1);
-        for (auto &v : y)
+        for (auto &v : labels)
             v = rng.uniform(-1, 1);
         for (int64_t i = 0; i < s; i++)
-            perm[i] = static_cast<double>((i * 2654435761u) % s);
+            order[i] = static_cast<double>((i * 2654435761u) % s);
+        a = FrozenArray(std::move(rows));
+        y = FrozenArray(std::move(labels));
+        perm = FrozenArray(std::move(order));
         build();
         hints_.paramValues = {{sParam.ref()->varId, static_cast<double>(s)},
                               {dParam.ref()->varId, static_cast<double>(d)}};
@@ -85,7 +86,7 @@ class QpscdApp : public App
 
     int64_t s, d;
     int epochs;
-    std::vector<double> a, y, perm;
+    FrozenArray a, y, perm;
     std::shared_ptr<Program> prog;
     Arr aArr, yArr, permArr, xArr;
     Ex sParam, dParam;

@@ -51,6 +51,21 @@ Program::numLevels() const
 
 namespace {
 
+/** A launch may write an array param only if it is declared output:
+ *  both eval-cache tiers capture and replay only output arrays, and a
+ *  FrozenArray input is digested once on the promise that no launch
+ *  writes it. */
+void
+requireOutput(const Program &prog, int varId, const char *what)
+{
+    const VarInfo &v = prog.var(varId);
+    if (v.role == VarRole::ArrayParam && !v.isOutput) {
+        NPP_FATAL("{}: {} {} is an input array param, not declared "
+                  "output",
+                  prog.name(), what, v.name);
+    }
+}
+
 void
 validateStmts(const Program &prog, const std::vector<StmtPtr> &stmts,
               bool atRoot);
@@ -138,6 +153,7 @@ validateStmts(const Program &prog, const std::vector<StmtPtr> &stmts,
                 NPP_FATAL("{}: store target {} is not an array",
                           prog.name(), prog.var(s->array).name);
             }
+            requireOutput(prog, s->array, "store target");
             break;
           case StmtKind::If:
             if (!s->cond)
@@ -236,14 +252,20 @@ Program::validate() const
     if (yields) {
         if (rootOutput_ < 0)
             NPP_FATAL("{}: root pattern yields but no output bound", name_);
-        if (var(rootOutput_).role != VarRole::ArrayParam ||
-            !var(rootOutput_).isOutput) {
-            NPP_FATAL("{}: root output {} is not an output array param",
-                      name_, var(rootOutput_).name);
-        }
+        if (var(rootOutput_).role != VarRole::ArrayParam)
+            NPP_FATAL("{}: root output {} is not an array param", name_,
+                      var(rootOutput_).name);
+        requireOutput(*this, rootOutput_, "root output");
     }
-    if (r.kind == PatternKind::Filter && countOutput_ < 0)
-        NPP_FATAL("{}: root filter needs a count output", name_);
+    if (r.kind == PatternKind::Filter) {
+        if (countOutput_ < 0)
+            NPP_FATAL("{}: root filter needs a count output", name_);
+        if (var(countOutput_).role != VarRole::ArrayParam)
+            NPP_FATAL("{}: root filter count output {} is not an array "
+                      "param",
+                      name_, var(countOutput_).name);
+        requireOutput(*this, countOutput_, "root filter count output");
+    }
 }
 
 } // namespace npp

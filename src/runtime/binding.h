@@ -8,12 +8,56 @@
 #ifndef NPP_RUNTIME_BINDING_H
 #define NPP_RUNTIME_BINDING_H
 
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "ir/builder.h"
 #include "runtime/eval.h"
 
 namespace npp {
+
+/** Order-dependent digest of `n` doubles (their bit patterns), hashed in
+ *  four independent lanes that are folded at the end, so the loop is not
+ *  one serial multiply chain. Changing any one element, or the length,
+ *  changes the digest. Adds its byte count to the trace counter
+ *  `runtime.hashed_bytes`. */
+uint64_t digestArray(const double *data, int64_t n);
+
+/**
+ * An input array whose contents are fixed at construction and readable
+ * only through const access. Its digest is computed once, on first use,
+ * and every later Bindings::fingerprint reuses it, so an unchanged large
+ * input is not hashed again on each launch. Only non-output params may
+ * be bound to it (Program::validate refuses a launch that writes an
+ * input).
+ */
+class FrozenArray
+{
+  public:
+    FrozenArray() : FrozenArray(std::vector<double>()) {}
+    explicit FrozenArray(std::vector<double> contents)
+        : state_(std::make_unique<State>())
+    {
+        state_->values = std::move(contents);
+    }
+
+    const std::vector<double> &values() const { return state_->values; }
+
+    /** digestArray of the contents, computed by the first caller
+     *  (thread-safe). */
+    uint64_t digest() const;
+
+  private:
+    struct State
+    {
+        std::vector<double> values;
+        std::once_flag once;
+        uint64_t digest = 0;
+    };
+    std::unique_ptr<State> state_;
+};
 
 /**
  * Concrete argument values for one program execution. Array storage is
@@ -30,6 +74,10 @@ class Bindings
     /** Bind an array parameter to caller-owned storage. */
     void array(Arr param, std::vector<double> &storage);
 
+    /** Bind a non-output array parameter to frozen storage; the
+     *  fingerprint then reuses its digest. */
+    void array(Arr param, const FrozenArray &frozen);
+
     /** Translate every bound array's simulated device address by the
      *  given element count (the storage itself does not move, only the
      *  addresses the memory probe sees). Functional results are
@@ -43,9 +91,10 @@ class Bindings
     void seed(EvalCtx &ctx) const;
 
     /** Stable fingerprint of everything bound: scalar values, array
-     *  sizes and full contents. Two bindings with equal fingerprints
-     *  drive a program identically, which is what the evaluation cache
-     *  keys on. O(total array elements). */
+     *  sizes and full contents (one digestArray per array, folded in
+     *  declaration order). Two bindings with equal fingerprints drive a
+     *  program identically, which is what the evaluation cache keys on.
+     *  O(elements of the arrays not bound frozen). */
     uint64_t fingerprint() const;
 
     /** Slot of an array param (null data when unbound); used by the
@@ -55,10 +104,14 @@ class Bindings
     const Program &program() const { return *prog_; }
 
   private:
+    void bindArray(Arr param, const double *data, size_t size,
+                   const FrozenArray *frozen);
+
     const Program *prog_;
     std::vector<double> scalars_;
     std::vector<bool> scalarBound_;
     std::vector<ArraySlot> arrays_;
+    std::vector<const FrozenArray *> frozen_; //!< per var; null unless frozen
 };
 
 } // namespace npp

@@ -157,7 +157,7 @@ struct MappingServer::Impl
     std::shared_ptr<const EvalOutcome>
     evaluate(const DemoProgram &demo, const CompileOptions &copts,
              const Bindings &args, const ExecOptions &eopts,
-             uint64_t specSeed, int devices)
+             uint64_t specSeed, uint64_t bindingsHash, int devices)
     {
         auto out = std::make_shared<EvalOutcome>();
 
@@ -170,7 +170,7 @@ struct MappingServer::Impl
 
         EvalTier tier = EvalTier::Simulated;
         out->report = cachedRun(gpu, compiled.spec, args, eopts, specSeed,
-                                /*wantOutputs=*/false, &tier);
+                                bindingsHash, /*wantOutputs=*/false, &tier);
         out->tier = tier;
         out->ok = true;
         out->mapping = compiled.spec.mapping.toString();
@@ -284,8 +284,10 @@ struct MappingServer::Impl
         eopts.metricsOnly = true; // report-only: race-free, classed speed
         const uint64_t specSeed =
             EvalCache::specSeed(*demo->prog, copts, gpu.config());
+        // Hashed once: the evaluation below reuses it for its cache key.
+        const uint64_t bindingsHash = EvalCache::hashBindings(args);
         uint64_t key = EvalCache::combine(
-            EvalCache::combine(specSeed, EvalCache::hashBindings(args)),
+            EvalCache::combine(specSeed, bindingsHash),
             EvalCache::hashExec(eopts));
         // The fleet joins the fingerprint only when requested, so
         // single-device fingerprints — and what coalesces with what —
@@ -313,7 +315,8 @@ struct MappingServer::Impl
 
         if (leader) {
             std::shared_ptr<const EvalOutcome> outcome =
-                evaluate(*demo, copts, args, eopts, specSeed, devices);
+                evaluate(*demo, copts, args, eopts, specSeed, bindingsHash,
+                         devices);
             promise.set_value(outcome);
             std::lock_guard<std::mutex> lock(inflightMutex);
             inflight.erase(key);

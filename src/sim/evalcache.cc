@@ -6,10 +6,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "ir/printer.h"
@@ -18,6 +21,15 @@
 #include "support/logging.h"
 #include "support/strings.h"
 #include "support/trace.h"
+
+// The main build generates npp_build_hash.h from the contents of src/
+// (src/sim/CMakeLists.txt). A build that compiles src/ without it uses
+// this fixed value instead.
+#if __has_include("npp_build_hash.h")
+#include "npp_build_hash.h"
+#else
+#define NPP_BUILD_HASH 0x6e6f2d6275696c64ULL // "no-build"
+#endif
 
 namespace npp {
 
@@ -73,10 +85,14 @@ readCapacityBytes()
  *     magic[8] "NPPEVC1\n"
  *     u32 format version (kEvalCacheDiskFormatVersion)
  *     u32 coalesce-model tag length, then the tag bytes
+ *     u64 build hash (evalCacheBuildHash: another build's file is
+ *         rejected)
  *     u64 key (must match the probe key — guards renamed files)
  *     u64 payload byte count
  *     u64 payload FNV-1a checksum (guards torn/bit-rotted payloads)
- *     payload: serialized SimReport + optional output arrays
+ *     payload: u8 kind, then a serialized SimReport (GPU entries) or
+ *         four u64 work counts (reference entries), then the optional
+ *         output arrays
  *
  * Numbers are raw little-endian host encoding (the cache directory is a
  * same-machine artifact, not an interchange format); doubles travel as
@@ -150,97 +166,129 @@ evalTierName(EvalTier tier)
     return "?";
 }
 
+uint64_t
+evalCacheBuildHash()
+{
+    return NPP_BUILD_HASH;
+}
+
 namespace {
+
+/** What an entry memoizes (the index of its payload alternative): the
+ *  first payload byte in both tiers. A probe accepts only entries of its
+ *  own kind. */
+enum class EntryKind : uint8_t
+{
+    Gpu = 0,       //!< a simulated launch: SimReport
+    Reference = 1, //!< a sequential reference run: WorkCounts
+};
+
+/** One distinct output array of the memory tier, shared by every entry
+ *  whose captured contents are bit-equal to it. */
+struct Blob
+{
+    uint64_t digest = 0;
+    std::vector<double> data;
+    uint64_t refs = 0; //!< entries that use it
+};
+
+/** One output array on its way into the memory tier: a view of the
+ *  bound storage (store) or the contents read from disk (`owned`). */
+struct OutputArray
+{
+    int varId = 0;
+    const double *data = nullptr; //!< unused when `owned` holds them
+    size_t size = 0;
+    uint64_t digest = 0;
+    std::vector<double> owned;
+
+    const double *contents() const
+    {
+        return owned.empty() ? data : owned.data();
+    }
+};
 
 /** One memoized evaluation (either tier). */
 struct CacheEntry
 {
     uint64_t key = 0;
-    SimReport report;
+    std::variant<SimReport, WorkCounts> payload;
     bool hasOutputs = false;
-    /** (varId, contents) per output array, captured from a functional
-     *  run so wantOutputs hits can replay them. */
-    std::vector<std::pair<int, std::vector<double>>> outputs;
-    uint64_t bytes = 0;
+    /** (varId, shared contents) per output array, captured from a
+     *  functional run so wantOutputs hits can replay them. */
+    std::vector<std::pair<int, Blob *>> outputs;
+
+    EntryKind kind() const { return EntryKind(payload.index()); }
 };
 
-} // namespace
-
-struct EvalCache::Impl
-{
-    using Entry = CacheEntry;
-
-    mutable std::mutex mu;
-    std::list<Entry> lru; // front = most recent
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
-    std::string diskDir; // empty = no disk tier
-    /** Effectiveness counters plus the resident byte total (`entries`
-     *  is filled in by snapshots from lru.size()). */
-    EvalCacheStats counters;
-
-    /** Zero every effectiveness counter; caller holds mu. */
-    void
-    resetCounters()
-    {
-        counters = EvalCacheStats{.bytes = counters.bytes};
-    }
-
-    void
-    evictTo(uint64_t capacity)
-    {
-        while (counters.bytes > capacity && !lru.empty()) {
-            const Entry &victim = lru.back();
-            counters.bytes -= victim.bytes;
-            index.erase(victim.key);
-            lru.pop_back();
-            counters.evictions++;
-            NPP_TRACE_COUNT("evalcache.evictions", 1);
-        }
-    }
-
-    /** Insert (or refresh) an entry; caller holds mu. */
-    void
-    insertLocked(Entry &&entry, uint64_t capacity)
-    {
-        auto it = index.find(entry.key);
-        if (it != index.end()) {
-            // Concurrent misses can race to store the same evaluation;
-            // keep whichever entry carries outputs (otherwise equal).
-            if (it->second->hasOutputs && !entry.hasOutputs) {
-                lru.splice(lru.begin(), lru, it->second);
-                return;
-            }
-            counters.bytes -= it->second->bytes;
-            lru.erase(it->second);
-            index.erase(it);
-        }
-        const uint64_t key = entry.key;
-        counters.bytes += entry.bytes;
-        lru.push_front(std::move(entry));
-        index[key] = lru.begin();
-        evictTo(capacity);
-    }
-};
-
-namespace {
-
-/** Actual footprint of a cache entry: struct + index/list overhead, the
- *  report's heap payload (per-site traffic tables, diagnostics), and the
- *  captured output arrays. The old estimate (sizeof(Entry) + 64) let a
- *  stats-heavy sweep blow far past the byte budget before any eviction
- *  fired. */
+/** Footprint of an entry apart from its blobs: struct + index/list
+ *  overhead, the report's heap payload (per-site traffic tables,
+ *  diagnostics) and the output list. Entries do not change while
+ *  resident, so insert and drop compute the same value. */
 uint64_t
 entryFootprint(const CacheEntry &entry)
 {
-    uint64_t b = sizeof(CacheEntry) + 64;
-    b += entry.report.heapBytes();
-    b += entry.outputs.capacity() *
-         sizeof(std::pair<int, std::vector<double>>);
-    for (const auto &[varId, contents] : entry.outputs) {
-        (void)varId;
-        b += contents.capacity() * sizeof(double);
+    const SimReport *report = std::get_if<SimReport>(&entry.payload);
+    return sizeof(CacheEntry) + 64 + (report ? report->heapBytes() : 0) +
+           entry.outputs.capacity() * sizeof(entry.outputs[0]);
+}
+
+uint64_t
+blobFootprint(const Blob &blob)
+{
+    return sizeof(Blob) + 64 + blob.data.capacity() * sizeof(double);
+}
+
+/** (varId, contents, length) of one output an entry can replay. */
+struct OutputView
+{
+    int varId;
+    const double *data;
+    size_t size;
+};
+
+OutputView
+viewOf(const std::pair<int, Blob *> &out)
+{
+    return {out.first, out.second->data.data(), out.second->data.size()};
+}
+
+OutputView
+viewOf(const OutputArray &out)
+{
+    return {out.varId, out.contents(), out.size};
+}
+
+/** Can an entry answer a probe? A wantOutputs probe needs captured
+ *  outputs (memory blobs or disk contents), each naming a bound output
+ *  array param of matching length; they are then copied into `args`. */
+template <class Outputs>
+bool
+serveEntry(bool hasOutputs, const Outputs &outputs, bool wantOutputs,
+           const Bindings *args)
+{
+    if (!wantOutputs)
+        return true;
+    if (!hasOutputs)
+        return false;
+    const Program &prog = args->program();
+    for (const auto &out : outputs) {
+        const OutputView o = viewOf(out);
+        if (o.varId < 0 || o.varId >= prog.numVars() ||
+            prog.var(o.varId).role != VarRole::ArrayParam ||
+            !prog.var(o.varId).isOutput)
+            return false;
+        const ArraySlot &slot = args->arraySlot(o.varId);
+        if (!slot.data || slot.physSize != static_cast<int64_t>(o.size))
+            return false;
     }
-    return b;
+    for (const auto &out : outputs) {
+        const OutputView o = viewOf(out);
+        if (o.size)
+            std::memcpy(args->arraySlot(o.varId).data, o.data,
+                        o.size * sizeof(double));
+    }
+    return true;
 }
 
 std::string
@@ -252,43 +300,69 @@ diskPathFor(const std::string &dir, uint64_t key)
     return dir + "/" + name + ".nppeval";
 }
 
+/** The payload of a disk entry: kind byte, the report (Gpu) or the
+ *  work counts (Reference), then the output arrays. */
 std::string
-serializeEntry(const CacheEntry &entry)
+serializeEntry(const CacheEntry &entry, const std::vector<OutputArray> &outs)
 {
     ByteWriter w;
-    putReport(w, entry.report);
+    w.u8(static_cast<uint8_t>(entry.kind()));
+    if (const SimReport *report = std::get_if<SimReport>(&entry.payload)) {
+        putReport(w, *report);
+    } else {
+        const WorkCounts &work = std::get<WorkCounts>(entry.payload);
+        w.u64(work.computeOps);
+        w.u64(work.bytesRead);
+        w.u64(work.bytesWritten);
+        w.u64(work.iterations);
+    }
     w.u8(entry.hasOutputs ? 1 : 0);
-    w.u64(entry.outputs.size());
-    for (const auto &[varId, contents] : entry.outputs) {
-        w.i64(varId);
-        w.u64(contents.size());
-        w.buf.append(reinterpret_cast<const char *>(contents.data()),
-                     contents.size() * sizeof(double));
+    w.u64(outs.size());
+    for (const OutputArray &o : outs) {
+        w.i64(o.varId);
+        w.u64(o.size);
+        w.buf.append(reinterpret_cast<const char *>(o.contents()),
+                     o.size * sizeof(double));
     }
     return std::move(w.buf);
 }
 
 bool
-deserializeEntry(const std::string &payload, CacheEntry *out)
+deserializeEntry(const std::string &payload, CacheEntry *out,
+                 std::vector<OutputArray> *outs)
 {
     ByteReader r{payload.data(), payload.size()};
-    out->report = getReport(r);
+    const uint8_t kind = r.u8();
+    if (!r.ok || kind > static_cast<uint8_t>(EntryKind::Reference))
+        return false;
+    if (EntryKind(kind) == EntryKind::Gpu) {
+        out->payload = getReport(r);
+    } else {
+        WorkCounts work;
+        work.computeOps = r.u64();
+        work.bytesRead = r.u64();
+        work.bytesWritten = r.u64();
+        work.iterations = r.u64();
+        out->payload = work;
+    }
     out->hasOutputs = r.u8() != 0;
     const uint64_t count = r.u64();
     if (!r.ok || count > (r.n - r.off) / (2 * sizeof(uint64_t)))
         return false;
-    out->outputs.clear();
-    out->outputs.reserve(count);
+    outs->clear();
+    outs->reserve(count);
     for (uint64_t i = 0; i < count; i++) {
         const int64_t varId = r.i64();
         const uint64_t elems = r.u64();
         if (!r.ok || elems > (r.n - r.off) / sizeof(double))
             return false;
-        std::vector<double> contents(elems);
-        if (!r.take(contents.data(), elems * sizeof(double)))
+        OutputArray o;
+        o.varId = static_cast<int>(varId);
+        o.size = elems;
+        o.owned.resize(elems);
+        if (!r.take(o.owned.data(), elems * sizeof(double)))
             return false;
-        out->outputs.emplace_back(static_cast<int>(varId),
-                                  std::move(contents));
+        outs->push_back(std::move(o));
     }
     return r.exhausted();
 }
@@ -296,12 +370,13 @@ deserializeEntry(const std::string &payload, CacheEntry *out)
 enum class DiskRead { Ok, NotFound, Reject };
 
 /** Read + validate one disk entry. Every failure mode past "file does
- *  not exist" — short header, bad magic, version or model-tag mismatch,
- *  key mismatch (renamed file), size or checksum mismatch, payload that
- *  under- or over-runs — is a Reject: counted, treated as a miss, and
- *  never allowed to crash or corrupt the caller. */
+ *  not exist" — short header, bad magic, version, model-tag or build
+ *  mismatch, key mismatch (renamed file), size or checksum mismatch,
+ *  payload that under- or over-runs — is a Reject: counted, treated as
+ *  a miss, and never allowed to crash or corrupt the caller. */
 DiskRead
-readDiskEntry(const std::string &path, uint64_t key, CacheEntry *out)
+readDiskEntry(const std::string &path, uint64_t key, CacheEntry *out,
+              std::vector<OutputArray> *outs)
 {
     std::string data;
     switch (readWholeFile(path, &data)) {
@@ -323,6 +398,8 @@ readDiskEntry(const std::string &path, uint64_t key, CacheEntry *out)
         std::memcmp(r.p + r.off, tag.data(), tagLen) != 0)
         return DiskRead::Reject;
     r.off += tagLen;
+    if (r.u64() != evalCacheBuildHash())
+        return DiskRead::Reject;
     if (r.u64() != key)
         return DiskRead::Reject;
     const uint64_t payloadSize = r.u64();
@@ -333,10 +410,9 @@ readDiskEntry(const std::string &path, uint64_t key, CacheEntry *out)
         return DiskRead::Reject;
 
     std::string payload(r.p + r.off, payloadSize);
-    if (!deserializeEntry(payload, out))
+    if (!deserializeEntry(payload, out, outs))
         return DiskRead::Reject;
     out->key = key;
-    out->bytes = entryFootprint(*out);
     return DiskRead::Ok;
 }
 
@@ -353,6 +429,7 @@ writeDiskEntry(const std::string &dir, uint64_t key,
     const std::string tag = kCoalesceModelVersion;
     header.u32(static_cast<uint32_t>(tag.size()));
     header.buf.append(tag);
+    header.u64(evalCacheBuildHash());
     header.u64(key);
     header.u64(payload.size());
     header.u64(fnvBytes(payload.data(), payload.size()));
@@ -368,30 +445,258 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
-/** Can `entry` answer a probe? A wantOutputs probe needs captured
- *  outputs whose shapes match the bound storage; they are then copied
- *  into `args`. */
-bool
-serveEntry(const CacheEntry &entry, bool wantOutputs, const Bindings *args)
-{
-    if (!wantOutputs)
-        return true;
-    if (!entry.hasOutputs)
-        return false;
-    for (const auto &[varId, contents] : entry.outputs) {
-        const ArraySlot &slot = args->arraySlot(varId);
-        if (!slot.data ||
-            slot.physSize != static_cast<int64_t>(contents.size()))
-            return false;
-    }
-    for (const auto &[varId, contents] : entry.outputs) {
-        std::memcpy(const_cast<double *>(args->arraySlot(varId).data),
-                    contents.data(), contents.size() * sizeof(double));
-    }
-    return true;
-}
-
 } // namespace
+
+struct EvalCache::Impl
+{
+    using Entry = CacheEntry;
+
+    mutable std::mutex mu;
+    std::list<Entry> lru; // front = most recent
+    std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
+    /** Output blobs by digest (more than one per digest only when
+     *  different contents collide). */
+    std::unordered_map<uint64_t, std::vector<std::unique_ptr<Blob>>> blobs;
+    std::string diskDir; // empty = no disk tier
+    /** Effectiveness counters plus the resident byte total: entries
+     *  and distinct blobs, each counted once (`entries` is filled in
+     *  by snapshots from lru.size()). */
+    EvalCacheStats counters;
+
+    /** Zero every effectiveness counter; caller holds mu. */
+    void
+    resetCounters()
+    {
+        counters = EvalCacheStats{.bytes = counters.bytes};
+    }
+
+    /** The blob holding `out`'s contents: an existing one whose bytes
+     *  compare equal, else a new one (moving `owned` contents in,
+     *  copying a view). Caller holds mu. */
+    Blob *
+    intern(OutputArray &out)
+    {
+        auto &bucket = blobs[out.digest];
+        const double *src = out.contents();
+        for (const auto &blob : bucket) {
+            if (blob->data.size() == out.size &&
+                (out.size == 0 ||
+                 std::memcmp(blob->data.data(), src,
+                             out.size * sizeof(double)) == 0)) {
+                blob->refs++;
+                return blob.get();
+            }
+        }
+        auto blob = std::make_unique<Blob>();
+        blob->digest = out.digest;
+        if (!out.owned.empty())
+            blob->data = std::move(out.owned);
+        else
+            blob->data.assign(src, src + out.size);
+        blob->refs = 1;
+        counters.bytes += blobFootprint(*blob);
+        bucket.push_back(std::move(blob));
+        return bucket.back().get();
+    }
+
+    /** Drop one use of `blob`, freeing it with its last. Caller holds
+     *  mu. */
+    void
+    release(Blob *blob)
+    {
+        if (--blob->refs > 0)
+            return;
+        counters.bytes -= blobFootprint(*blob);
+        auto it = blobs.find(blob->digest);
+        auto &bucket = it->second;
+        for (auto b = bucket.begin(); b != bucket.end(); ++b) {
+            if (b->get() == blob) {
+                bucket.erase(b);
+                break;
+            }
+        }
+        if (bucket.empty())
+            blobs.erase(it);
+    }
+
+    /** Remove one entry and release its blobs. Caller holds mu. */
+    void
+    drop(std::list<Entry>::iterator it)
+    {
+        for (const auto &[varId, blob] : it->outputs)
+            release(blob);
+        counters.bytes -= entryFootprint(*it);
+        index.erase(it->key);
+        lru.erase(it);
+    }
+
+    void
+    evictTo(uint64_t capacity)
+    {
+        while (counters.bytes > capacity && !lru.empty()) {
+            drop(std::prev(lru.end()));
+            counters.evictions++;
+            NPP_TRACE_COUNT("evalcache.evictions", 1);
+        }
+    }
+
+    /** Insert (or refresh) an entry whose outputs are `outs`; caller
+     *  holds mu. */
+    void
+    insertLocked(Entry &&entry, std::vector<OutputArray> &outs,
+                 uint64_t capacity)
+    {
+        auto it = index.find(entry.key);
+        // Concurrent misses can race to store the same evaluation; keep
+        // whichever entry carries outputs (otherwise equal).
+        if (it != index.end() && it->second->kind() == entry.kind() &&
+            it->second->hasOutputs && !entry.hasOutputs) {
+            lru.splice(lru.begin(), lru, it->second);
+            return;
+        }
+        // Intern before dropping the entry this one replaces, so equal
+        // contents move over instead of being freed and copied again.
+        entry.outputs.reserve(outs.size());
+        for (OutputArray &out : outs)
+            entry.outputs.emplace_back(out.varId, intern(out));
+        if (it != index.end())
+            drop(it->second);
+        const uint64_t key = entry.key;
+        counters.bytes += entryFootprint(entry);
+        lru.push_front(std::move(entry));
+        index[key] = lru.begin();
+        evictTo(capacity);
+    }
+
+    /** Probe the memory tier, then the disk tier, for an entry of
+     *  `kind` that can answer (see serveEntry). On a hit, `take` reads
+     *  the entry and `tierOut` (when non-null) names the tier. */
+    template <class Take>
+    bool
+    probe(uint64_t key, EntryKind kind, bool wantOutputs,
+          const Bindings *args, uint64_t capacity, EvalTier *tierOut,
+          Take &&take)
+    {
+        std::string dir;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            auto it = index.find(key);
+            if (it != index.end() && it->second->kind() == kind &&
+                serveEntry(it->second->hasOutputs, it->second->outputs,
+                           wantOutputs, args)) {
+                counters.hits++;
+                NPP_TRACE_COUNT("evalcache.hits", 1);
+                lru.splice(lru.begin(), lru, it->second);
+                if (tierOut)
+                    *tierOut = EvalTier::Memory;
+                take(*it->second);
+                return true;
+            }
+            counters.misses++;
+            NPP_TRACE_COUNT("evalcache.misses", 1);
+            dir = diskDir;
+        }
+
+        if (dir.empty())
+            return false;
+
+        // Memory missed: probe the disk tier outside the lock (atomic
+        // renames guarantee any file we open is complete).
+        Entry entry;
+        std::vector<OutputArray> outs;
+        const DiskRead rd =
+            readDiskEntry(diskPathFor(dir, key), key, &entry, &outs);
+        if (rd != DiskRead::Ok || entry.kind() != kind) {
+            std::lock_guard<std::mutex> lock(mu);
+            if (rd == DiskRead::Reject) {
+                counters.diskRejects++;
+                NPP_TRACE_COUNT("evalcache.disk_rejects", 1);
+            }
+            counters.diskMisses++;
+            NPP_TRACE_COUNT("evalcache.disk_misses", 1);
+            return false;
+        }
+
+        const bool usable =
+            serveEntry(entry.hasOutputs, outs, wantOutputs, args);
+        if (usable)
+            take(entry);
+        for (OutputArray &o : outs)
+            o.digest = digestArray(o.contents(),
+                                   static_cast<int64_t>(o.size));
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            // Promote into memory either way — a later metrics-only
+            // probe of the same key should not pay the disk read again.
+            insertLocked(std::move(entry), outs, capacity);
+            if (usable) {
+                counters.diskHits++;
+                NPP_TRACE_COUNT("evalcache.disk_hits", 1);
+            } else {
+                counters.diskMisses++;
+                NPP_TRACE_COUNT("evalcache.disk_misses", 1);
+            }
+        }
+        if (usable && tierOut)
+            *tierOut = EvalTier::Disk;
+        return usable;
+    }
+
+    /** Insert into memory and write through to disk. With `outputsOf`
+     *  the current contents of its output arrays are captured (digested
+     *  in place, copied only if no equal blob is resident). */
+    void
+    store(Entry &&entry, const Bindings *outputsOf, uint64_t capacity)
+    {
+        std::vector<OutputArray> outs;
+        if (outputsOf) {
+            entry.hasOutputs = true;
+            for (const auto &v : outputsOf->program().vars()) {
+                if (v.role != VarRole::ArrayParam || !v.isOutput)
+                    continue;
+                const ArraySlot &slot = outputsOf->arraySlot(v.id);
+                if (!slot.data)
+                    continue;
+                OutputArray o;
+                o.varId = v.id;
+                o.data = slot.data;
+                o.size = static_cast<size_t>(slot.physSize);
+                o.digest = digestArray(slot.data, slot.physSize);
+                outs.push_back(std::move(o));
+            }
+        }
+
+        std::string dir;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            dir = diskDir;
+        }
+        // Disk files stay self-contained: the payload carries the output
+        // contents, read from the bound storage.
+        std::string payload;
+        if (!dir.empty())
+            payload = serializeEntry(entry, outs);
+        const uint64_t key = entry.key;
+        const bool hasOutputs = entry.hasOutputs;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            insertLocked(std::move(entry), outs, capacity);
+        }
+
+        if (dir.empty())
+            return;
+        // Write-through. A report-only evaluation never clobbers an
+        // existing file (it might carry outputs from a functional run);
+        // an evaluation with outputs always refreshes it.
+        if (!hasOutputs && fileExists(diskPathFor(dir, key)))
+            return;
+        if (writeDiskEntry(dir, key, payload)) {
+            std::lock_guard<std::mutex> lock(mu);
+            counters.diskStores++;
+            NPP_TRACE_COUNT("evalcache.disk_stores", 1);
+        }
+    }
+};
 
 EvalCache::EvalCache()
     : impl_(new Impl),
@@ -526,70 +831,28 @@ EvalCache::specSeed(const Program &prog, const CompileOptions &copts,
                    hashDevice(device));
 }
 
+uint64_t
+EvalCache::referenceSeed(const Program &prog)
+{
+    // A spec seed's last input is a device hash; this fixed tag stands
+    // where the compile-option and device hashes would be. The entry's
+    // kind byte keeps the two apart even if keys ever collided.
+    constexpr uint64_t kReferenceTag = 0x7265666572656e63ULL; // "referenc"
+    return combine(hashProgram(prog), kReferenceTag);
+}
+
 std::optional<SimReport>
 EvalCache::find(uint64_t key, bool wantOutputs, const Bindings *args,
                 EvalTier *tierOut)
 {
-    if (!enabled())
-        return std::nullopt;
-
-    std::string diskDir;
-    {
-        std::lock_guard<std::mutex> lock(impl_->mu);
-        auto it = impl_->index.find(key);
-        if (it != impl_->index.end() &&
-            serveEntry(*it->second, wantOutputs, args)) {
-            impl_->counters.hits++;
-            NPP_TRACE_COUNT("evalcache.hits", 1);
-            impl_->lru.splice(impl_->lru.begin(), impl_->lru, it->second);
-            if (tierOut)
-                *tierOut = EvalTier::Memory;
-            return it->second->report;
-        }
-        impl_->counters.misses++;
-        NPP_TRACE_COUNT("evalcache.misses", 1);
-        diskDir = impl_->diskDir;
+    std::optional<SimReport> report;
+    if (enabled()) {
+        impl_->probe(key, EntryKind::Gpu, wantOutputs, args,
+                     static_cast<uint64_t>(capacityBytes_), tierOut,
+                     [&](const CacheEntry &e) {
+                         report = std::get<SimReport>(e.payload);
+                     });
     }
-
-    if (diskDir.empty())
-        return std::nullopt;
-
-    // Memory missed: probe the disk tier outside the lock (atomic
-    // renames guarantee any file we open is complete).
-    CacheEntry entry;
-    const DiskRead rd = readDiskEntry(diskPathFor(diskDir, key), key,
-                                      &entry);
-    if (rd != DiskRead::Ok) {
-        std::lock_guard<std::mutex> lock(impl_->mu);
-        if (rd == DiskRead::Reject) {
-            impl_->counters.diskRejects++;
-            NPP_TRACE_COUNT("evalcache.disk_rejects", 1);
-        }
-        impl_->counters.diskMisses++;
-        NPP_TRACE_COUNT("evalcache.disk_misses", 1);
-        return std::nullopt;
-    }
-
-    const bool usable = serveEntry(entry, wantOutputs, args);
-    SimReport report = entry.report;
-    {
-        std::lock_guard<std::mutex> lock(impl_->mu);
-        // Promote into memory either way — a later metrics-only probe
-        // of the same key should not pay the disk read again.
-        impl_->insertLocked(std::move(entry),
-                            static_cast<uint64_t>(capacityBytes_));
-        if (usable) {
-            impl_->counters.diskHits++;
-            NPP_TRACE_COUNT("evalcache.disk_hits", 1);
-        } else {
-            impl_->counters.diskMisses++;
-            NPP_TRACE_COUNT("evalcache.disk_misses", 1);
-        }
-    }
-    if (!usable)
-        return std::nullopt;
-    if (tierOut)
-        *tierOut = EvalTier::Disk;
     return report;
 }
 
@@ -601,47 +864,37 @@ EvalCache::store(uint64_t key, const SimReport &report,
         return;
     CacheEntry entry;
     entry.key = key;
-    entry.report = report;
-    if (outputsOf) {
-        entry.hasOutputs = true;
-        const Program &prog = outputsOf->program();
-        for (const auto &v : prog.vars()) {
-            if (v.role != VarRole::ArrayParam || !v.isOutput)
-                continue;
-            const ArraySlot &slot = outputsOf->arraySlot(v.id);
-            if (!slot.data)
-                continue;
-            entry.outputs.emplace_back(
-                v.id,
-                std::vector<double>(slot.data, slot.data + slot.physSize));
-        }
-    }
-    entry.bytes = entryFootprint(entry);
+    entry.payload = report;
+    impl_->store(std::move(entry), outputsOf,
+                 static_cast<uint64_t>(capacityBytes_));
+}
 
-    std::string diskDir;
-    std::string payload;
-    {
-        std::lock_guard<std::mutex> lock(impl_->mu);
-        diskDir = impl_->diskDir;
-        if (!diskDir.empty())
-            payload = serializeEntry(entry);
-        impl_->insertLocked(std::move(entry),
-                            static_cast<uint64_t>(capacityBytes_));
+std::optional<WorkCounts>
+EvalCache::findReference(uint64_t key, const Bindings &args,
+                         EvalTier *tierOut)
+{
+    std::optional<WorkCounts> work;
+    if (enabled()) {
+        impl_->probe(key, EntryKind::Reference, /*wantOutputs=*/true, &args,
+                     static_cast<uint64_t>(capacityBytes_), tierOut,
+                     [&](const CacheEntry &e) {
+                         work = std::get<WorkCounts>(e.payload);
+                     });
     }
+    return work;
+}
 
-    if (diskDir.empty())
+void
+EvalCache::storeReference(uint64_t key, const WorkCounts &work,
+                          const Bindings &outputsOf)
+{
+    if (!enabled())
         return;
-    // Write-through. A report-only evaluation never clobbers an existing
-    // file (it might carry outputs from a functional run); an evaluation
-    // with outputs always refreshes it.
-    const std::string path = diskPathFor(diskDir, key);
-    if (!outputsOf && fileExists(path))
-        return;
-    if (writeDiskEntry(diskDir, key, payload)) {
-        std::lock_guard<std::mutex> lock(impl_->mu);
-        impl_->counters.diskStores++;
-        NPP_TRACE_COUNT("evalcache.disk_stores", 1);
-    }
+    CacheEntry entry;
+    entry.key = key;
+    entry.payload = work;
+    impl_->store(std::move(entry), &outputsOf,
+                 static_cast<uint64_t>(capacityBytes_));
 }
 
 EvalCacheStats
@@ -671,6 +924,7 @@ EvalCache::clear()
     std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->lru.clear();
     impl_->index.clear();
+    impl_->blobs.clear();
     impl_->counters.bytes = 0;
     impl_->resetCounters();
 }
@@ -780,6 +1034,18 @@ cachedRun(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
           const ExecOptions &eopts, uint64_t specSeed, bool wantOutputs,
           EvalTier *tierOut)
 {
+    const uint64_t bindingsHash = EvalCache::instance().enabled()
+                                      ? EvalCache::hashBindings(args)
+                                      : 0;
+    return cachedRun(gpu, spec, args, eopts, specSeed, bindingsHash,
+                     wantOutputs, tierOut);
+}
+
+SimReport
+cachedRun(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
+          const ExecOptions &eopts, uint64_t specSeed,
+          uint64_t bindingsHash, bool wantOutputs, EvalTier *tierOut)
+{
     EvalCache &cache = EvalCache::instance();
     ExecOptions eo = eopts;
     eo.metricsOnly = !wantOutputs;
@@ -793,8 +1059,7 @@ cachedRun(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
     }
 
     const uint64_t key = EvalCache::combine(
-        EvalCache::combine(specSeed, EvalCache::hashBindings(args)),
-        EvalCache::hashExec(eo));
+        EvalCache::combine(specSeed, bindingsHash), EvalCache::hashExec(eo));
     if (auto hit = cache.find(key, wantOutputs, &args, tierOut))
         return *hit;
     SimReport report = gpu.run(spec, args, eo);
@@ -802,6 +1067,29 @@ cachedRun(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
     notifyExactEval({spec.prog, &spec.mapping, nullptr, &eo,
                      &gpu.config(), &report});
     return report;
+}
+
+WorkCounts
+cachedReference(const Program &prog, const Bindings &args,
+                uint64_t referenceSeed, EvalTier *tierOut)
+{
+    EvalCache &cache = EvalCache::instance();
+    if (tierOut)
+        *tierOut = EvalTier::Simulated;
+    const auto run = [&] {
+        NPP_TRACE_SCOPE("runtime.reference");
+        return ReferenceInterp().run(prog, args);
+    };
+    if (!cache.enabled())
+        return run();
+
+    const uint64_t key = EvalCache::combine(referenceSeed,
+                                            EvalCache::hashBindings(args));
+    if (auto hit = cache.findReference(key, args, tierOut))
+        return *hit;
+    const WorkCounts work = run();
+    cache.storeReference(key, work, args);
+    return work;
 }
 
 } // namespace npp

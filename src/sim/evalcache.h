@@ -9,27 +9,38 @@
  * contents), and execution-option hash, and returns the memoized
  * SimReport — skipping both compileProgram and the simulated run.
  *
+ * It also memoizes sequential reference runs (the validation side of
+ * an App run): a reference entry holds the WorkCounts and the output
+ * arrays. Every entry carries its kind, and a probe accepts only entries
+ * of its own kind, so a reference entry never answers a GPU probe and a
+ * GPU entry never answers a reference probe.
+ *
  * Two tiers (see DESIGN.md "Tiered eval cache + mapping service"):
  *  - an in-process, mutex-guarded, LRU byte-capped memory tier (default
- *    4 GB; NPP_EVAL_CACHE_MB overrides, NPP_EVAL_CACHE=off disables);
+ *    4 GB; NPP_EVAL_CACHE_MB overrides, NPP_EVAL_CACHE=off disables).
+ *    Captured output arrays live in a content-addressed blob store:
+ *    entries whose outputs are bit-equal share one blob, counted once
+ *    in the byte total and freed with the last entry that uses it;
  *  - an optional on-disk, content-addressed tier shared across
- *    processes: one file per entry under NPP_EVAL_CACHE_DIR, named by
- *    the 64-bit key, with a versioned binary header (magic, format
- *    version, coalesce-model tag, key, payload checksum). Memory misses
- *    fall through to disk; disk hits promote into memory; stores
- *    write through via temp-file + atomic rename, so concurrent
- *    processes never observe a partial entry. Truncated, corrupt,
- *    wrong-version, or wrong-model files are rejected as misses (and
- *    counted), never trusted.
+ *    processes: one self-contained file per entry under
+ *    NPP_EVAL_CACHE_DIR, named by the 64-bit key, with a versioned
+ *    binary header (magic, format version, coalesce-model tag, build
+ *    hash, key, payload checksum). Memory misses fall through to disk;
+ *    disk hits promote into memory; stores write through via temp-file
+ *    + atomic rename, so concurrent processes never observe a partial
+ *    entry. Truncated, corrupt, wrong-version, wrong-model or
+ *    other-build files are rejected as misses (and counted), never
+ *    trusted.
  *
  * Invalidation rules:
  *  - any change to the program text, size hints, compile options, device
  *    parameters, bound scalars, or bound array contents changes the key
  *    (there is no in-place invalidation — stale memory entries age out
  *    via LRU; stale disk entries are unreachable garbage);
- *  - a change to the coalescing model (kCoalesceModelVersion) or to the
+ *  - a change to the coalescing model (kCoalesceModelVersion), to the
  *    report field table (sim/metrics.h; kEvalCacheDiskFormatVersion
- *    follows it) invalidates every disk entry via the header check;
+ *    follows it) or to any file under src/ (the build hash) invalidates
+ *    every disk entry via the header check;
  *  - metricsOnly/blockClasses execution modes are excluded from the key
  *    because they are report-identical by construction (enforced by the
  *    determinism test), so metrics-only autotune trials warm the cache
@@ -52,16 +63,23 @@
 
 namespace npp {
 
-/** Version of the hand-written part of a disk entry: the site-table
- *  count and the captured output arrays. The report fields themselves
- *  are covered by the field-table hash below. */
-inline constexpr uint32_t kEvalCacheEntryLayoutVersion = 2;
+/** Version of the hand-written part of a disk entry: the kind byte, the
+ *  reference work counts, the site-table count and the captured output
+ *  arrays. The report fields themselves are covered by the field-table
+ *  hash below. */
+inline constexpr uint32_t kEvalCacheEntryLayoutVersion = 3;
 
 /** Disk entry format version, written in every header. Derived from the
  *  report field table, so adding, retyping or reordering a field rejects
  *  older entries on its own. */
 inline constexpr uint32_t kEvalCacheDiskFormatVersion = static_cast<uint32_t>(
     reportFieldTableHash(kEvalCacheEntryLayoutVersion) >> 32);
+
+/** Content hash of the src/ tree this binary was built from, written
+ *  into every disk-entry header; a file from another build is rejected.
+ *  Builds that compile src/ without the generated hash header share one
+ *  fixed value. */
+uint64_t evalCacheBuildHash();
 
 /** Where an evaluation's report came from (cache-tier provenance,
  *  reported per request by the mapping service). */
@@ -83,6 +101,8 @@ struct EvalCacheStats
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t entries = 0;
+    /** Resident footprint: every entry plus every distinct output blob,
+     *  each blob counted once however many entries share it. */
     uint64_t bytes = 0;
 
     /** @name Disk tier (all zero when NPP_EVAL_CACHE_DIR is unset)
@@ -129,6 +149,9 @@ class EvalCache
     static uint64_t specSeed(const Program &prog,
                              const CompileOptions &copts,
                              const DeviceConfig &device);
+    /** Seed for cachedReference: the program hash combined with a tag
+     *  value in place of the compile-option and device hashes. */
+    static uint64_t referenceSeed(const Program &prog);
     /** @} */
 
     bool enabled() const { return capacityBytes_ > 0; }
@@ -148,6 +171,19 @@ class EvalCache
      *  wantOutputs lookups can replay them. */
     void store(uint64_t key, const SimReport &report,
                const Bindings *outputsOf);
+
+    /** @name Reference-run entries
+     *  Same tiers and key space as GPU entries, but a reference probe
+     *  only accepts reference entries (and vice versa). A hit copies the
+     *  memoized outputs into `args`'s bound storage.
+     *  @{
+     */
+    std::optional<WorkCounts> findReference(uint64_t key,
+                                            const Bindings &args,
+                                            EvalTier *tierOut = nullptr);
+    void storeReference(uint64_t key, const WorkCounts &work,
+                        const Bindings &outputsOf);
+    /** @} */
 
     EvalCacheStats stats() const;
 
@@ -237,6 +273,25 @@ SimReport cachedRun(const Gpu &gpu, const KernelSpec &spec,
                     const Bindings &args, const ExecOptions &eopts,
                     uint64_t specSeed, bool wantOutputs,
                     EvalTier *tierOut = nullptr);
+
+/** cachedRun for a caller that already hashed `args`
+ *  (`bindingsHash` == EvalCache::hashBindings(args)), so the bindings
+ *  are not hashed a second time. */
+SimReport cachedRun(const Gpu &gpu, const KernelSpec &spec,
+                    const Bindings &args, const ExecOptions &eopts,
+                    uint64_t specSeed, uint64_t bindingsHash,
+                    bool wantOutputs, EvalTier *tierOut = nullptr);
+
+/**
+ * Memoized ReferenceInterp::run. `referenceSeed` is
+ * EvalCache::referenceSeed(prog), computed once per program by the
+ * caller. A miss runs the interpreter (inside a `runtime.reference`
+ * span) and stores its work counts and outputs; a hit copies the
+ * outputs into `args` and returns the stored counts.
+ */
+WorkCounts cachedReference(const Program &prog, const Bindings &args,
+                           uint64_t referenceSeed,
+                           EvalTier *tierOut = nullptr);
 
 } // namespace npp
 

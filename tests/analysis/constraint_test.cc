@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/constraint.h"
+#include "analysis/search.h"
 #include "ir/builder.h"
 
 namespace npp {
@@ -181,6 +182,53 @@ TEST(Constraints, EnclosingStoreIsNotSplittable)
     });
     const Program deep = b.build();
     EXPECT_FALSE(constraintsFor(deep).splittable[2]);
+}
+
+TEST(Constraints, SeqLoopAroundReduceIsNotSplittable)
+{
+    // Split partials are keyed by the enclosing indices only, so a
+    // reduce that a SeqLoop reruns (here in the root body, around a
+    // level-2 reduce too) would sum every iteration into one slot.
+    ProgramBuilder b("loop");
+    Arr m = b.inF64("m");
+    Ex r = b.paramI64("R"), c = b.paramI64("C");
+    Arr out = b.outF64("out");
+    b.map(r, out, [&](Body &fn, Ex i) {
+        Ex s;
+        fn.seqLoop(Ex(3), [&](Body &body, Ex) {
+            Arr w = body.map(Ex(4), [&](Body &row, Ex) {
+                return row.reduce(
+                    c, Op::Add, [&](Body &, Ex k) { return m(i * c + k); });
+            });
+            s = body.reduce(c, Op::Add,
+                            [&](Body &, Ex k) { return w(Ex(0.0)) + k; });
+        });
+        return s;
+    });
+    const Program loop = b.build();
+    const ConstraintSet cs = constraintsFor(loop);
+    for (int level : {1, 2}) {
+        EXPECT_FALSE(cs.splittable[level]) << "L" << level;
+        EXPECT_NE(cs.unsplittableReason[level].find("sequential loop"),
+                  std::string::npos)
+            << cs.unsplittableReason[level];
+    }
+
+    // The mapping explanation names the reason on the level's check.
+    MappingDecision d;
+    d.levels = {{1, 1, SpanType::one()},
+                {0, 32, SpanType::split(3)},
+                {2, 1, SpanType::all()}};
+    const MappingExplanation ex = MappingSearch(teslaK20c()).explain(d, cs);
+    EXPECT_FALSE(ex.feasible);
+    bool named = false;
+    for (const HardCheck &check : ex.hardChecks) {
+        if (check.name == "L1 split legal") {
+            EXPECT_FALSE(check.passed);
+            named = check.detail.find("sequential loop") != std::string::npos;
+        }
+    }
+    EXPECT_TRUE(named);
 }
 
 TEST(Constraints, BranchDiscountHalvesWeight)

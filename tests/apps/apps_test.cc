@@ -16,6 +16,8 @@
 #include "apps/realworld.h"
 #include "apps/sums.h"
 #include "server/programs.h"
+#include "sim/evalcache.h"
+#include "support/trace.h"
 
 namespace npp {
 namespace {
@@ -201,6 +203,69 @@ TEST(ReferenceWork, DemoProgramsMatchGolden)
 //
 // Qualitative orderings the figures rely on (moderate sizes).
 //
+
+/** Bit-equality of everything validation reports. */
+void
+expectSameResult(const AppResult &a, const AppResult &b,
+                 const std::string &what)
+{
+    const auto bits = [](double v) {
+        uint64_t u;
+        std::memcpy(&u, &v, sizeof u);
+        return u;
+    };
+    EXPECT_EQ(bits(a.gpuMs), bits(b.gpuMs)) << what;
+    EXPECT_EQ(bits(a.maxError), bits(b.maxError)) << what;
+    EXPECT_EQ(bits(a.cpuMs), bits(b.cpuMs)) << what;
+    EXPECT_EQ(a.referenceWork.computeOps, b.referenceWork.computeOps) << what;
+    EXPECT_EQ(a.referenceWork.bytesRead, b.referenceWork.bytesRead) << what;
+    EXPECT_EQ(a.referenceWork.bytesWritten, b.referenceWork.bytesWritten)
+        << what;
+    EXPECT_EQ(a.referenceWork.iterations, b.referenceWork.iterations)
+        << what;
+}
+
+/** Validation is memoized: a second validated run of an app in one
+ *  process answers every launch, reference runs included, from the
+ *  eval cache without running the interpreter, and its result is
+ *  bit-identical to a run with the cache off. */
+TEST(AppValidationCache, SecondRunReplaysReferenceBitIdentically)
+{
+    Gpu gpu;
+    EvalCache &cache = EvalCache::instance();
+    Trace &trace = Trace::instance();
+    const int64_t savedCapacity = cache.capacityBytes();
+    const std::string savedDir = cache.diskDir();
+    cache.setDiskDir("");
+    for (auto &app : smallApps()) {
+        cache.setCapacityBytes(0);
+        const AppResult off = app->run(gpu, Strategy::MultiDim, true);
+
+        cache.setCapacityBytes(int64_t(1) << 30);
+        cache.clear();
+        trace.clear();
+        trace.setEnabled(true);
+        const AppResult first = app->run(gpu, Strategy::MultiDim, true);
+        const uint64_t coldRuns = trace.timerStat("runtime.reference").count;
+        cache.resetCounters();
+        trace.clear();
+        const AppResult second = app->run(gpu, Strategy::MultiDim, true);
+        const uint64_t warmRuns = trace.timerStat("runtime.reference").count;
+        trace.setEnabled(false);
+        const EvalCacheStats stats = cache.stats();
+
+        EXPECT_GT(coldRuns, 0u) << app->name();
+        EXPECT_EQ(warmRuns, 0u) << app->name();
+        EXPECT_GT(stats.hits, 0u) << app->name();
+        EXPECT_EQ(stats.misses, 0u) << app->name();
+        expectSameResult(first, off, app->name() + " first");
+        expectSameResult(second, off, app->name() + " second");
+    }
+    trace.clear();
+    cache.setCapacityBytes(savedCapacity);
+    cache.setDiskDir(savedDir);
+    cache.clear();
+}
 
 TEST(AppShapes, OneDLosesOnMultiLevelApps)
 {

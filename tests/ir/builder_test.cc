@@ -233,6 +233,47 @@ TEST(BuilderDeath, NonAssociativeReduceRejected)
         "non-associative");
 }
 
+/** A launch may write only arrays declared output: the eval cache
+ *  captures and replays only those, and a FrozenArray input is digested
+ *  once on that promise. */
+TEST(BuilderDeath, WritesToInputArraysRejected)
+{
+    EXPECT_DEATH(
+        {
+            ProgramBuilder b("bad");
+            Ex n = b.paramI64("n");
+            Arr in = b.inF64("in");
+            b.foreach(n, [&](Body &fn, Ex i) {
+                fn.store(in, i, in(i) + 1.0);
+            });
+            b.build();
+        },
+        "store target in is an input array param");
+    EXPECT_DEATH(
+        {
+            ProgramBuilder b("bad");
+            Ex n = b.paramI64("n");
+            Arr in = b.inF64("in");
+            Arr dst = b.inF64("dst");
+            b.map(n, dst, [&](Body &, Ex i) { return in(i) * 2.0; });
+            b.build();
+        },
+        "root output dst is an input array param");
+    EXPECT_DEATH(
+        {
+            ProgramBuilder b("bad");
+            Ex n = b.paramI64("n");
+            Arr in = b.inF64("in");
+            Arr out = b.outF64("out");
+            Arr count = b.inF64("count");
+            b.filter(n, out, count, [&](Body &, Ex i) {
+                return FilterItem{in(i) > 0.0, in(i)};
+            });
+            b.build();
+        },
+        "root filter count output count is an input array param");
+}
+
 TEST(Builder, TraceSitesAreStableAcrossRebuilds)
 {
     // Program::validate() numbers patterns, statements, and read exprs in

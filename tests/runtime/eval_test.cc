@@ -2,13 +2,18 @@
  * @file
  * Unit tests for the expression evaluator: value semantics,
  * short-circuit logic, access-cost accounting, slot view transforms
- * (offset/stride and the decoupled trace addressing), and probe
- * reporting.
+ * (offset/stride and the decoupled trace addressing), probe
+ * reporting, and the bindings fingerprint (including FrozenArray
+ * inputs, whose digest is computed once).
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "ir/builder.h"
+#include "runtime/binding.h"
 #include "runtime/eval.h"
 
 namespace npp {
@@ -160,6 +165,107 @@ TEST(EvalDeath, NullAndUnboundAccessesPanic)
                  "null expression");
     Arr a = f.arr;
     EXPECT_DEATH(evalExpr(a(Ex(0)).ref(), ctx), "unbound array");
+}
+
+/** The fingerprint keys the eval cache, so it must move with every
+ *  bound value: each scalar, each array's size and each element. Array
+ *  lengths 0-17 cover every tail of the four-lane digest. */
+TEST(Fingerprint, ChangesWithEveryScalarSizeAndElement)
+{
+    Fixture f;
+    double x = 1.5, y = -2.0;
+    std::vector<double> a, out(3, 0.5);
+    const auto fingerprint = [&] {
+        Bindings args(*f.prog);
+        args.scalar(f.x, x);
+        args.scalar(f.y, y);
+        args.array(f.arr, a);
+        args.array(f.out, out);
+        return args.fingerprint();
+    };
+    for (int n = 0; n <= 17; n++) {
+        a.assign(n, 0.0);
+        for (int i = 0; i < n; i++)
+            a[i] = 0.25 * i + 1.0;
+        const uint64_t base = fingerprint();
+        EXPECT_EQ(fingerprint(), base) << "n=" << n;
+        for (int i = 0; i < n; i++) {
+            const double keep = a[i];
+            a[i] = std::nextafter(keep, 1e300);
+            EXPECT_NE(fingerprint(), base) << "n=" << n << " element " << i;
+            a[i] = keep;
+        }
+        a.push_back(0.0);
+        EXPECT_NE(fingerprint(), base) << "n=" << n << " grown";
+        a.pop_back();
+        if (n > 0) {
+            const double last = a.back();
+            a.pop_back();
+            EXPECT_NE(fingerprint(), base) << "n=" << n << " shrunk";
+            a.push_back(last);
+        }
+        for (double *scalar : {&x, &y}) {
+            const double keep = *scalar;
+            *scalar = std::nextafter(keep, 1e300);
+            EXPECT_NE(fingerprint(), base) << "n=" << n << " scalar";
+            *scalar = keep;
+        }
+        out[1] = -0.0;
+        EXPECT_NE(fingerprint(), base) << "n=" << n << " output element";
+        out[1] = 0.5;
+        EXPECT_EQ(fingerprint(), base) << "n=" << n;
+    }
+}
+
+/** Binding a FrozenArray or a vector of the same contents is the same
+ *  binding: equal slots and an equal fingerprint. */
+TEST(Fingerprint, FrozenAndVectorBindingsAgree)
+{
+    Fixture f;
+    for (int n : {0, 1, 3, 4, 5, 17, 1000}) {
+        std::vector<double> contents(n);
+        for (int i = 0; i < n; i++)
+            contents[i] = std::sin(0.1 * i);
+        std::vector<double> copy = contents;
+        const FrozenArray frozen(contents);
+        std::vector<double> out1(3, 0.0), out2(3, 0.0);
+
+        Bindings viaVector(*f.prog), viaFrozen(*f.prog);
+        for (Bindings *args : {&viaVector, &viaFrozen}) {
+            args->scalar(f.x, 2.0);
+            args->scalar(f.y, 3.0);
+        }
+        viaVector.array(f.arr, copy);
+        viaVector.array(f.out, out1);
+        viaFrozen.array(f.arr, frozen);
+        viaFrozen.array(f.out, out2);
+
+        EXPECT_EQ(frozen.digest(), digestArray(contents.data(), n));
+        EXPECT_EQ(viaFrozen.fingerprint(), viaVector.fingerprint()) << n;
+        EXPECT_EQ(viaFrozen.fingerprint(), viaVector.fingerprint()) << n;
+
+        const ArraySlot &v = viaVector.arraySlot(f.arr.id());
+        const ArraySlot &z = viaFrozen.arraySlot(f.arr.id());
+        EXPECT_EQ(v.size, z.size);
+        EXPECT_EQ(v.offset, z.offset);
+        EXPECT_EQ(v.stride, z.stride);
+        EXPECT_EQ(v.physSize, z.physSize);
+        EXPECT_EQ(v.addrBase, z.addrBase);
+        EXPECT_EQ(v.addrStride, z.addrStride);
+        EXPECT_EQ(v.elemBytes, z.elemBytes);
+        EXPECT_EQ(z.data, frozen.values().data());
+        if (n > 0) {
+            EXPECT_EQ(std::memcmp(v.data, z.data, n * sizeof(double)), 0);
+        }
+    }
+}
+
+TEST(FingerprintDeath, OutputCannotBeBoundFrozen)
+{
+    Fixture f;
+    const FrozenArray frozen(std::vector<double>(4, 1.0));
+    Bindings args(*f.prog);
+    EXPECT_DEATH(args.array(f.out, frozen), "cannot be bound frozen");
 }
 
 } // namespace

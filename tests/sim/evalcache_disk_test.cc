@@ -2,11 +2,13 @@
  * @file
  * Disk-tier tests for the EvalCache: round trips through the on-disk
  * entry format, promotion into the memory tier, rejection (never
- * trusting) of truncated / corrupt / wrong-version / renamed files, the
- * byte-accounting fix (entry footprints charge the report's real heap
- * payload, not a flat guess), the resetCounters fix (evictions reset
- * with the other effectiveness counters), and a golden test of the
- * report's JSON export. Runs under the `server` ctest label so the asan
+ * trusting) of truncated / corrupt / wrong-version / other-build /
+ * renamed files, the byte-accounting fix (entry footprints charge the
+ * report's real heap payload, not a flat guess), the resetCounters fix
+ * (evictions reset with the other effectiveness counters), reference
+ * entries (their round trip, and that no probe of one kind is answered
+ * by an entry of the other), output blobs shared by content, and a
+ * golden test of the report's JSON export. Runs under the `server` ctest label so the asan
  * job covers the deserializer against hostile files.
  */
 
@@ -326,9 +328,10 @@ TEST_F(EvalCacheDiskTest, CorruptHeaderOrPayloadIsRejected)
     };
 
     // Offsets cover each guard: magic (0), format version (9), model
-    // tag length (14), tag bytes (30), key (38), payload size (46),
-    // checksum (50), payload body (tail).
-    const size_t offsets[] = {0, 9, 14, 30, 38, 46, 50, good.size() - 3};
+    // tag length (14), tag bytes (30), build hash (38), key (46),
+    // payload size (54), checksum (62), payload body (tail).
+    const size_t offsets[] = {0,  9,  14, 30, 38,
+                              46, 54, 62, good.size() - 3};
     uint64_t expectedRejects = 0;
     for (const size_t offset : offsets) {
         writeMutated(offset);
@@ -476,6 +479,174 @@ TEST_F(EvalCacheDiskTest, ResetCountersResetsEverything)
     EXPECT_EQ(stats.diskRejects, 0u);
     EXPECT_EQ(stats.entries, entriesBefore);
     EXPECT_GT(stats.bytes, 0u);
+}
+
+TEST_F(EvalCacheDiskTest, OtherBuildIsRejected)
+{
+    EvalCache &cache = EvalCache::instance();
+    const uint64_t key = 0x2222333344445555ULL;
+    cache.store(key, makeReport(), nullptr);
+    const std::string path = onlyEntryPath();
+    ASSERT_FALSE(path.empty());
+
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    in.close();
+    // The u64 build hash follows the magic, the format version, the
+    // model tag's length and the tag itself.
+    const size_t offset = 8 + 4 + 4 + std::strlen(kCoalesceModelVersion);
+    ASSERT_GT(bytes.size(), offset + 8);
+    uint64_t stored = 0;
+    std::memcpy(&stored, bytes.data() + offset, sizeof stored);
+    EXPECT_EQ(stored, evalCacheBuildHash());
+    const uint64_t otherBuild = ~stored;
+    std::memcpy(bytes.data() + offset, &otherBuild, sizeof otherBuild);
+    std::ofstream outF(path, std::ios::binary | std::ios::trunc);
+    outF.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    outF.close();
+
+    cache.clear();
+    EXPECT_FALSE(cache.find(key, false, nullptr).has_value());
+    EXPECT_EQ(cache.stats().diskRejects, 1u);
+}
+
+/** A one-level copy program `out(i) = 2 * in(i)` of `n` elements. */
+struct CopyProgram
+{
+    explicit CopyProgram(int64_t n) : n(n), in(n), out(n, 0.0)
+    {
+        ProgramBuilder b("copy");
+        inArr = b.inF64("in");
+        nParam = b.paramI64("n");
+        outArr = b.outF64("out");
+        Arr src = inArr;
+        b.map(nParam, outArr, [&](Body &, Ex i) { return 2.0 * src(i); });
+        prog = std::make_unique<Program>(b.build());
+        for (int64_t i = 0; i < n; i++)
+            in[i] = 0.5 * static_cast<double>(i) - 3.0;
+    }
+
+    /** Bindings of the input and `outBuf` as the output. */
+    Bindings
+    bind(std::vector<double> &outBuf)
+    {
+        Bindings args(*prog);
+        args.scalar(nParam, static_cast<double>(n));
+        args.array(inArr, in);
+        args.array(outArr, outBuf);
+        return args;
+    }
+
+    int64_t n;
+    std::vector<double> in, out;
+    std::unique_ptr<Program> prog;
+    Arr inArr, outArr;
+    Ex nParam;
+};
+
+TEST_F(EvalCacheDiskTest, ReferenceEntryRoundTripsThroughDisk)
+{
+    EvalCache &cache = EvalCache::instance();
+    CopyProgram cp(300);
+    const uint64_t seed = EvalCache::referenceSeed(*cp.prog);
+
+    Bindings args = cp.bind(cp.out);
+    EvalTier tier = EvalTier::Memory;
+    const WorkCounts first = cachedReference(*cp.prog, args, seed, &tier);
+    EXPECT_EQ(tier, EvalTier::Simulated);
+    EXPECT_EQ(cache.stats().diskStores, 1u);
+    const std::vector<double> expected = cp.out;
+    EXPECT_EQ(expected[7], 2.0 * cp.in[7]);
+
+    // Drop memory: the replay comes from disk, counts and outputs.
+    cache.clear();
+    std::vector<double> out2(cp.n, 0.0);
+    Bindings args2 = cp.bind(out2);
+    tier = EvalTier::Simulated;
+    const WorkCounts second = cachedReference(*cp.prog, args2, seed, &tier);
+    EXPECT_EQ(tier, EvalTier::Disk);
+    EXPECT_EQ(second.computeOps, first.computeOps);
+    EXPECT_EQ(second.bytesRead, first.bytesRead);
+    EXPECT_EQ(second.bytesWritten, first.bytesWritten);
+    EXPECT_EQ(second.iterations, first.iterations);
+    EXPECT_EQ(std::memcmp(out2.data(), expected.data(),
+                          expected.size() * sizeof(double)),
+              0);
+
+    // Promoted: the next replay is a memory hit.
+    std::fill(out2.begin(), out2.end(), 0.0);
+    tier = EvalTier::Simulated;
+    cachedReference(*cp.prog, args2, seed, &tier);
+    EXPECT_EQ(tier, EvalTier::Memory);
+    EXPECT_EQ(out2, expected);
+}
+
+TEST_F(EvalCacheDiskTest, ReferenceAndGpuEntriesNeverAnswerEachOther)
+{
+    EvalCache &cache = EvalCache::instance();
+    CopyProgram cp(64);
+    Bindings args = cp.bind(cp.out);
+    const uint64_t refKey = 0x0101010101010101ULL;
+    const uint64_t gpuKey = 0x0202020202020202ULL;
+    cache.storeReference(refKey, WorkCounts{1, 2, 3, 4}, args);
+    cache.store(gpuKey, makeReport(), &args);
+
+    // Memory tier, then (after clear) the disk tier: a probe of one
+    // kind misses an entry of the other, with or without outputs.
+    for (int pass = 0; pass < 2; pass++) {
+        SCOPED_TRACE(pass == 0 ? "memory" : "disk");
+        if (pass == 1)
+            cache.clear();
+        EXPECT_FALSE(cache.find(refKey, false, nullptr).has_value());
+        EXPECT_FALSE(cache.find(refKey, true, &args).has_value());
+        EXPECT_FALSE(cache.findReference(gpuKey, args).has_value());
+        EXPECT_EQ(cache.stats().diskRejects, 0u);
+    }
+    cache.clear();
+    const auto work = cache.findReference(refKey, args);
+    ASSERT_TRUE(work.has_value());
+    EXPECT_EQ(work->iterations, 4u);
+    EXPECT_TRUE(cache.find(gpuKey, true, &args).has_value());
+}
+
+TEST_F(EvalCacheDiskTest, EqualOutputsShareOneBlob)
+{
+    EvalCache &cache = EvalCache::instance();
+    cache.setDiskDir(""); // memory-tier accounting only
+    const int64_t n = 1 << 16;
+    const uint64_t blobBytes = n * sizeof(double);
+    CopyProgram cp(n);
+    const SimReport report = makeReport();
+
+    std::vector<double> outA(n, 1.5), outB(n, 1.5), outC(n, -1.5);
+    Bindings a = cp.bind(outA), b = cp.bind(outB), c = cp.bind(outC);
+    cache.store(1, report, &a);
+    const uint64_t one = cache.stats().bytes;
+    EXPECT_GE(one, blobBytes);
+    cache.store(2, report, &b); // equal contents: no second copy
+    const uint64_t two = cache.stats().bytes;
+    EXPECT_LT(two - one, blobBytes / 8);
+    cache.store(3, report, &c); // new contents: a new blob
+    const uint64_t three = cache.stats().bytes;
+    EXPECT_GE(three - two, blobBytes);
+
+    // Evict entry 1 only (least recently used); its blob stays, held
+    // by entry 2, which still replays.
+    cache.setCapacityBytes(static_cast<int64_t>(three - 1));
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_LT(three - cache.stats().bytes, blobBytes / 8);
+    std::vector<double> replay(n, 0.0);
+    Bindings r = cp.bind(replay);
+    ASSERT_TRUE(cache.find(2, true, &r).has_value());
+    EXPECT_EQ(replay, outA);
+    ASSERT_TRUE(cache.find(3, true, &r).has_value());
+    EXPECT_EQ(replay, outC);
+
+    // The last user gone, every blob is freed.
+    cache.setCapacityBytes(1);
+    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
 } // namespace

@@ -462,6 +462,37 @@ TEST(FixedMappingSweep, EnclosingStoreRefusesSplit)
     EXPECT_GT(sweepFixedMappings(c), 8);
 }
 
+/** A reduce inside a SeqLoop of the enclosing body: its split partials
+ *  are keyed by the enclosing indices, not by the loop counter, so under
+ *  Split(k) every iteration added into one slot (3x the reference: 210
+ *  for 70 with m = 1, C = 70). Level 1 must refuse Split. */
+TEST(FixedMappingSweep, SeqLoopAroundReduceRefusesSplit)
+{
+    const int64_t R = 40, C = 70;
+    ProgramBuilder b("splitSeqLoop");
+    Arr m = b.inF64("m");
+    Ex r = b.paramI64("R"), cc = b.paramI64("C");
+    Arr out = b.outF64("out");
+    b.map(r, out, [&](Body &fn, Ex i) {
+        Ex s;
+        fn.seqLoop(Ex(3), [&](Body &body, Ex) {
+            s = body.reduce(cc, Op::Add,
+                            [&](Body &, Ex k) { return m(i * cc + k); });
+        });
+        return s;
+    });
+    Case c;
+    c.name = "splitSeqLoop";
+    c.prog = std::make_shared<Program>(b.build());
+    c.bindInputs = [=](Bindings &args) {
+        args.scalar(r, static_cast<double>(R));
+        args.scalar(cc, static_cast<double>(C));
+        args.array(m, sharedMatrix(R * C));
+    };
+    c.outputs = {{out, R}};
+    EXPECT_GT(sweepFixedMappings(c), 8);
+}
+
 //
 // Filter and GroupBy equivalence under their (span-all) mappings.
 //

@@ -14,7 +14,9 @@
 #                               # from `git archive` into build-rows/,
 #                               # then diff the fig12/13/14 --json rows
 #                               # and every demo program's nppc --stats
-#                               # export against the working tree
+#                               # export against the working tree, and
+#                               # the working tree's disk-warm fig12/14
+#                               # rows against its cold ones
 #
 # Every ctest invocation runs the full suite. The labels pick out the
 # suites worth a quick focused rerun, and the `label` job runs them in
@@ -38,7 +40,11 @@
 # mapping is Split(k) (sumrows and weightedrows at 16x200000, sumcols
 # at 200000x16) so the combiner and its replay are covered. Both trees
 # run with every NPP_* variable unset, so neither can replay the other's
-# disk-cache entries.
+# disk-cache entries. It then runs fig12 and fig14 twice in the working
+# tree against one fresh NPP_EVAL_CACHE_DIR and diffs the second run's
+# rows against the first: the second replays every launch and every
+# reference validation from disk, and fig14 divides by the replayed
+# reference work counts (cpuMs).
 #
 # Each job uses its own build directory (build/, build-asan/,
 # build-tsan/, build-ubsan/, build-rows/) so sanitizer and plain objects
@@ -124,6 +130,19 @@ rows)
         echo "== check: rows differ from ${base} ==" >&2
         exit 1
     fi
+    warm="${rows_dir}/out/warm"
+    mkdir -p "${warm}/cache"
+    for fig in fig12_rodinia fig14_realworld; do
+        for run in cold disk; do
+            NPP_EVAL_CACHE_DIR="${warm}/cache" "build/bench/${fig}" \
+                --json="${warm}/${fig}-${run}.json" >/dev/null
+        done
+        if ! diff "${warm}/${fig}-cold.json" "${warm}/${fig}-disk.json"; then
+            echo "== check: ${fig} rows replayed from disk differ ==" >&2
+            exit 1
+        fi
+    done
+    rm -rf "${warm}/cache"
     ;;
 all)
     run_job default build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
