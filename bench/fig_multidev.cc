@@ -136,9 +136,7 @@ sweepCase(const Gpu &gpu, const BenchCase &c, int maxDevices)
     return Row{c.label,
                {choice.singleMs, choice.fleetMs,
                 static_cast<double>(choice.deviceCount),
-                static_cast<double>(choice.splitPoint >= 0
-                                        ? choice.splitPoint
-                                        : choice.best.plan.outerSize),
+                static_cast<double>(choice.winner()->splitPoint),
                 choice.speedup}};
 }
 

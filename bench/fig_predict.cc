@@ -58,7 +58,7 @@ const struct
     {"spmv", {{"rows", 2048}, {"avgdeg", 8}}},
 };
 
-struct SweepPoint
+struct TimedSweep
 {
     PredictSweep sweep;
     double wallMs = 0.0;
@@ -66,7 +66,7 @@ struct SweepPoint
 
 /** Run one cold sweep: drop every cached evaluation first so the wall
  *  clock measures real simulation work, not cache replay. */
-SweepPoint
+TimedSweep
 coldSweep(const Gpu &gpu, const DemoProgram &demo, const PredictModel *model)
 {
     EvalCache::instance().clear();
@@ -77,7 +77,7 @@ coldSweep(const Gpu &gpu, const DemoProgram &demo, const PredictModel *model)
     copts.fuseMapReduce = demo.fuse;
 
     const auto t0 = std::chrono::steady_clock::now();
-    SweepPoint point;
+    TimedSweep point;
     point.sweep = predictiveSweep(gpu, *demo.prog, args, copts, model,
                                   kPredictDefaultTopK);
     const auto t1 = std::chrono::steady_clock::now();
@@ -122,7 +122,7 @@ runFigure()
 
     // Phase A: full cold sweeps, observer harvesting every simulation.
     PredictRuntime::instance().setSampleDir(sampleDir);
-    std::vector<SweepPoint> full;
+    std::vector<TimedSweep> full;
     for (const auto &demo : programs)
         full.push_back(coldSweep(gpu, *demo, nullptr));
     PredictRuntime::instance().setSampleDir("");
@@ -145,7 +145,7 @@ runFigure()
                 model->featureVersion);
 
     // Phase C: pruned cold sweeps with the trained model.
-    std::vector<SweepPoint> pruned;
+    std::vector<TimedSweep> pruned;
     for (const auto &demo : programs)
         pruned.push_back(coldSweep(gpu, *demo, &*model));
 

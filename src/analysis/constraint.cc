@@ -131,6 +131,21 @@ class Generator
             out.all.push_back(c);
         }
 
+        if (enclosingStore()) {
+            // Each block of this level reruns the enclosing bodies, so
+            // their Stores would take effect once per block: one block
+            // must cover the level.
+            const std::string reason = "a Store in an enclosing body would "
+                                       "run once per block of this level";
+            out.mustSpanAll[level] = true;
+            markUnsplittable(level, reason);
+            Constraint c;
+            c.kind = Constraint::Kind::HardSpanAll;
+            c.level = level;
+            c.reason = reason;
+            out.all.push_back(c);
+        }
+
         enclosing.push_back({&p, level});
         const double inner = multiplier * std::max(size, 1.0);
 
@@ -212,12 +227,6 @@ class Generator
                     markUnsplittable(level + 1,
                                      "reduce partial used beyond the "
                                      "enclosing yield");
-                } else if (reduce && enclosingStore()) {
-                    // Every Split(k) segment block reruns the enclosing
-                    // bodies, so their Stores would take effect k times.
-                    markUnsplittable(level + 1,
-                                     "a Store in an enclosing body would "
-                                     "run once per segment");
                 } else if (reduce && seqLoopDepth > 0) {
                     // Partials are keyed by the enclosing indices, not
                     // by the loop counter, so every iteration would add

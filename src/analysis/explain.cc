@@ -30,15 +30,6 @@ softKindName(Constraint::Kind kind)
     return "?";
 }
 
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
-
 } // namespace
 
 MappingExplanation
@@ -187,12 +178,7 @@ formatSearchExplanation(const SearchExplanation &ex)
        << (ex.controlDopNote.empty() ? "no adjustment"
                                      : ex.controlDopNote)
        << "\n";
-    if (!ex.fleetNote.empty())
-        os << ex.fleetNote;
-    if (!ex.consolidationNote.empty())
-        os << ex.consolidationNote;
-    if (!ex.predictNote.empty())
-        os << ex.predictNote;
+    os << ex.fleetNote << ex.consolidationNote << ex.predictNote;
     return os.str();
 }
 
@@ -208,8 +194,8 @@ searchExplanationJson(const SearchExplanation &ex)
     const MappingExplanation &m = ex.selected;
     os << ",\"selected\":\"" << jsonEscape(m.decision.toString()) << "\"";
     os << ",\"feasible\":" << (m.feasible ? "true" : "false");
-    os << ",\"score\":" << num(m.totalScore);
-    os << ",\"dop\":" << num(m.dop);
+    os << ",\"score\":" << exactNum(m.totalScore);
+    os << ",\"dop\":" << exactNum(m.dop);
     os << ",\"hard_checks\":[";
     for (size_t i = 0; i < m.hardChecks.size(); i++) {
         const HardCheck &h = m.hardChecks[i];
@@ -221,11 +207,11 @@ searchExplanationJson(const SearchExplanation &ex)
     for (size_t i = 0; i < m.soft.size(); i++) {
         const SoftContribution &s = m.soft[i];
         os << (i ? "," : "") << "{\"index\":" << s.constraintIndex
-           << ",\"level\":" << s.level << ",\"weight\":" << num(s.weight)
+           << ",\"level\":" << s.level << ",\"weight\":" << exactNum(s.weight)
            << ",\"satisfied\":" << (s.satisfied ? "true" : "false")
            << ",\"skipped_flexible\":"
            << (s.skippedFlexible ? "true" : "false")
-           << ",\"contribution\":" << num(s.contribution)
+           << ",\"contribution\":" << exactNum(s.contribution)
            << ",\"reason\":\"" << jsonEscape(s.reason) << "\"}";
     }
     os << "],\"enumerated\":" << ex.enumerated;
@@ -237,12 +223,13 @@ searchExplanationJson(const SearchExplanation &ex)
     os << ",\"at_best_capped_dop\":" << ex.atBestCappedDop;
     os << ",\"at_best_blocks\":" << ex.atBestBlocks;
     os << ",\"control_dop\":\"" << jsonEscape(ex.controlDopNote) << "\"";
-    if (!ex.fleetJson.empty())
-        os << ",\"fleet\":" << ex.fleetJson;
-    if (!ex.consolidationJson.empty())
-        os << ",\"consolidation\":" << ex.consolidationJson;
-    if (!ex.predictJson.empty())
-        os << ",\"predict\":" << ex.predictJson;
+    for (const auto &[key, json] :
+         {std::pair{"fleet", &ex.fleetJson},
+          {"consolidation", &ex.consolidationJson},
+          {"predict", &ex.predictJson}}) {
+        if (!json->empty())
+            os << ",\"" << key << "\":" << *json;
+    }
     os << "}";
     return os.str();
 }

@@ -134,9 +134,9 @@ struct SearchExplanation
      * them alongside the per-device parameters when non-empty.
      *  @{
      */
-    /** formatFleetChoice() text: per-candidate times + hard filters. */
+    /** sweepText() of the fleet sweep: per-point times + hard filters. */
     std::string fleetNote;
-    /** fleetChoiceJson() object for the machine-readable export. */
+    /** sweepJson() of the fleet sweep for the machine-readable export. */
     std::string fleetJson;
     /** @} */
 
@@ -147,9 +147,9 @@ struct SearchExplanation
      * report when non-empty (same contract as the fleet annotations).
      *  @{
      */
-    /** formatConsolidationChoice() text: per-candidate verdicts. */
+    /** sweepText() of the consolidation sweep: per-point verdicts. */
     std::string consolidationNote;
-    /** consolidationChoiceJson() object for the JSON export. */
+    /** sweepJson() of the consolidation sweep for the JSON export. */
     std::string consolidationJson;
     /** @} */
 
@@ -161,9 +161,9 @@ struct SearchExplanation
      * contract as the fleet and consolidation annotations).
      *  @{
      */
-    /** PredictSweep::note() text: ranking + pruning verdicts. */
+    /** sweepText() of the predictive sweep: ranking + pruning verdicts. */
     std::string predictNote;
-    /** PredictSweep::toJson() object for the JSON export. */
+    /** sweepJson() of the predictive sweep for the JSON export. */
     std::string predictJson;
     /** @} */
 };

@@ -3,71 +3,46 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "sim/evalcache.h"
-#include "sim/gpu.h"
-#include "support/logging.h"
-#include "support/parallel.h"
+#include "support/strings.h"
 #include "support/trace.h"
 
 namespace npp {
 
-std::vector<ScoredMapping>
-rankedCandidates(const Program &prog, const DeviceConfig &device,
-                 CompileOptions base, int maxPicks)
+std::vector<SweepPoint>
+mappingPoints(const Program &prog, const DeviceConfig &device,
+              const CompileOptions &base, int maxPicks)
 {
-    base.strategy = Strategy::MultiDim;
-    base.keepCandidates = true;
-    CompileResult compiled = compileProgram(prog, device, base);
+    CompileOptions search = base;
+    search.strategy = Strategy::MultiDim;
+    search.keepCandidates = true;
+    CompileResult compiled = compileProgram(prog, device, search);
 
-    std::vector<ScoredMapping> cands = compiled.candidates;
+    std::vector<ScoredMapping> cands = std::move(compiled.candidates);
     std::sort(cands.begin(), cands.end(),
               [](const ScoredMapping &a, const ScoredMapping &b) {
                   return a.score > b.score;
               });
-    std::vector<ScoredMapping> picks;
+    cands.insert(cands.begin(),
+                 ScoredMapping{compiled.spec.mapping, compiled.spec.score,
+                               compiled.spec.dop, 0.0});
+    std::vector<SweepPoint> points;
     std::unordered_set<MappingDecision> seen;
-    picks.push_back({compiled.spec.mapping, compiled.spec.score,
-                     compiled.spec.dop, 0.0});
-    seen.insert(compiled.spec.mapping);
-    for (const auto &c : cands) {
-        if (static_cast<int>(picks.size()) >= maxPicks)
+    for (const ScoredMapping &c : cands) {
+        if (static_cast<int>(points.size()) >= maxPicks)
             break;
-        if (seen.insert(c.decision).second)
-            picks.push_back(c);
+        if (!seen.insert(c.decision).second)
+            continue;
+        SweepPoint &p = points.emplace_back();
+        p.label = c.decision.toString();
+        p.copts = base;
+        p.copts.strategy = Strategy::Fixed;
+        p.copts.fixedMapping = c.decision;
+        p.copts.keepCandidates = false;
+        p.copts.explainSearch = false;
+        p.score = c.score;
+        p.isScoreChoice = points.size() == 1;
     }
-    return picks;
-}
-
-MeasuredMappings
-measureMappings(const Gpu &gpu, const Program &prog, const Bindings &args,
-                CompileOptions base,
-                const std::vector<MappingDecision> &mappings)
-{
-    NPP_ASSERT(!mappings.empty(), "sweep executed no candidates");
-    base.keepCandidates = false;
-    base.explainSearch = false;
-    base.strategy = Strategy::Fixed;
-
-    // Metrics-only trials never write the caller's buffers, so they are
-    // independent: evaluate concurrently (and through the cache, which
-    // repeated sweeps of the same program hit).
-    MeasuredMappings measured;
-    measured.ms = parallelMap<double>(
-        static_cast<int64_t>(mappings.size()), [&](int64_t i) {
-            CompileOptions copts = base;
-            copts.fixedMapping = mappings[static_cast<size_t>(i)];
-            return cachedCompileAndRun(gpu, prog, args, copts, {},
-                                       /*wantOutputs=*/false)
-                .totalMs;
-        });
-
-    // Serial fold in mapping order: identical tie-breaking no matter how
-    // the measurements were produced.
-    for (size_t i = 1; i < measured.ms.size(); i++) {
-        if (measured.ms[i] < measured.ms[measured.best])
-            measured.best = i;
-    }
-    return measured;
+    return points;
 }
 
 AutotuneResult
@@ -75,33 +50,21 @@ autotune(const Program &prog, const Gpu &gpu, const Bindings &args,
          CompileOptions base, const AutotuneOptions &options)
 {
     NPP_TRACE_SCOPE("codegen.autotune");
-    AutotuneResult result;
-
-    // Top-scoring distinct candidates, plus the score-based selection
-    // itself (which ControlDOP may have rewritten beyond the raw list).
-    const std::vector<ScoredMapping> picks = rankedCandidates(
+    std::vector<SweepPoint> points = mappingPoints(
         prog, gpu.config(), base, options.topCandidates + 1);
-    result.scoreChoice = picks[0].decision;
+    NPP_TRACE_COUNT("autotune.trials", static_cast<double>(points.size()));
+    points[0].note = "score choice";
 
-    std::vector<MappingDecision> mappings;
-    for (const ScoredMapping &p : picks)
-        mappings.push_back(p.decision);
-    const MeasuredMappings measured =
-        measureMappings(gpu, prog, args, base, mappings);
-    for (size_t i = 0; i < picks.size(); i++) {
-        result.trials.push_back(
-            {picks[i].decision, picks[i].score, measured.ms[i]});
-        if (picks[i].decision == result.scoreChoice)
-            result.scoreChoiceMs = measured.ms[i];
-    }
-    NPP_TRACE_COUNT("autotune.trials", static_cast<double>(picks.size()));
-    result.bestMs = measured.ms[measured.best];
+    AutotuneResult result;
+    static_cast<Sweep &>(result) =
+        runSweep(gpu, prog, args, std::move(points));
+    result.kind = "autotune";
+    result.title = fmt("autotune ({} trials)", result.candidates.size());
+    result.scoreChoiceMs = result.candidates[0].exactMs;
+    const SweepPoint &win = *result.winner();
+    result.bestMs = win.exactMs;
 
-    CompileOptions fixed = base;
-    fixed.keepCandidates = false;
-    fixed.strategy = Strategy::Fixed;
-    fixed.fixedMapping = picks[measured.best].decision;
-    CompileResult winner = compileProgram(prog, gpu.config(), fixed);
+    CompileResult winner = compileProgram(prog, gpu.config(), win.copts);
     result.best = winner.spec;
     result.ownedProgram = winner.ownedProgram;
     return result;

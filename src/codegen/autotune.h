@@ -4,7 +4,8 @@
  * mapping parameters can be used by other compilers or auto-tuners to
  * explore the mapping space" (Section IV-B) — this is that auto-tuner:
  * take the top-scoring hard-feasible candidates from Algorithm 1,
- * actually run each on the simulated device, and keep the fastest.
+ * actually run each on the simulated device, and keep the fastest. It
+ * is the sweep of sim/sweep.h with no model.
  *
  * Trials run metrics-only, concurrently and through the EvalCache, so
  * the caller's buffers are never written. Trial reports and the winning
@@ -14,13 +15,11 @@
 #ifndef NPP_CODEGEN_AUTOTUNE_H
 #define NPP_CODEGEN_AUTOTUNE_H
 
-#include "codegen/compile.h"
-#include "runtime/binding.h"
-#include "sim/metrics.h"
+#include <memory>
+
+#include "sim/sweep.h"
 
 namespace npp {
-
-class Gpu;
 
 /** Options for the autotuner. */
 struct AutotuneOptions
@@ -29,16 +28,8 @@ struct AutotuneOptions
     int topCandidates = 8;
 };
 
-/** One executed trial. */
-struct AutotuneTrial
-{
-    MappingDecision decision;
-    double score = 0.0;
-    double measuredMs = 0.0;
-};
-
-/** Autotuning outcome. */
-struct AutotuneResult
+/** Autotuning outcome: the sweep of every trial plus the winner. */
+struct AutotuneResult : Sweep
 {
     /** The fastest measured spec, ready to run. */
     KernelSpec best;
@@ -47,40 +38,21 @@ struct AutotuneResult
     /** Keeps a fusion-rewritten program alive for `best` (if any). */
     std::shared_ptr<Program> ownedProgram;
 
-    /** What the pure score-based selection would have picked and cost. */
-    MappingDecision scoreChoice;
+    /** What the pure score-based selection (the first point) costs. */
     double scoreChoiceMs = 0.0;
-
-    std::vector<AutotuneTrial> trials;
 };
 
 /**
- * Algorithm 1's candidates as a sweep list: the score-based selection
- * first (ControlDOP may have rewritten it beyond the raw list), then the
- * distinct candidates by descending score, at most `maxPicks` in all.
- * `base.strategy` is ignored.
+ * Algorithm 1's candidates as sweep points over `base` (each under
+ * Strategy::Fixed, labelled by its mapping): the score-based selection
+ * first (ControlDOP may have rewritten it beyond the raw list), then
+ * the distinct candidates by descending score, at most `maxPicks` in
+ * all. `base.strategy` is ignored.
  */
-std::vector<ScoredMapping> rankedCandidates(const Program &prog,
-                                            const DeviceConfig &device,
-                                            CompileOptions base,
-                                            int maxPicks);
-
-/** Simulated time of each mapping, and the first fastest one. */
-struct MeasuredMappings
-{
-    std::vector<double> ms;
-    size_t best = 0;
-};
-
-/**
- * Exactly simulate each mapping (Strategy::Fixed over `base`) metrics-
- * only, concurrently and through the EvalCache, then pick the first
- * minimum in list order, so the result never depends on the thread
- * count. `mappings` must not be empty.
- */
-MeasuredMappings measureMappings(const Gpu &gpu, const Program &prog,
-                                 const Bindings &args, CompileOptions base,
-                                 const std::vector<MappingDecision> &mappings);
+std::vector<SweepPoint> mappingPoints(const Program &prog,
+                                      const DeviceConfig &device,
+                                      const CompileOptions &base,
+                                      int maxPicks);
 
 /**
  * Compile, enumerate, execute the top-scoring candidates, return the

@@ -195,6 +195,7 @@ compileProgram(const Program &sourceProg, const DeviceConfig &device,
     spec.prog = &prog;
     spec.mapping = mapping;
     spec.rawPointers = options.rawPointers;
+    spec.paramValues = options.paramValues;
     spec.locals = planLocalArrays(prog, mapping, options.prealloc);
 
     if (options.smemPrefetch) {

@@ -10,6 +10,7 @@
 #define NPP_CODEGEN_PLAN_H
 
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -90,19 +91,13 @@ struct KernelSpec
     double score = 0.0;
     double dop = 0.0;
 
+    /** The compile-time parameter values the spec was built with
+     *  (CompileOptions::paramValues), so an evaluation of the spec can
+     *  size its param-sized levels. */
+    std::unordered_map<int, double> paramValues;
+
     /** Generated CUDA source for all kernels of this program. */
     std::string cudaSource;
-
-    /** Multi-device placement chosen by the fleet search (sim/fleet.h);
-     *  deviceCount 1 is the ordinary single-device launch. Carried on
-     *  the spec so tools can print where the program would run. */
-    struct FleetPlacement
-    {
-        int deviceCount = 1;
-        int64_t splitPoint = -1;
-        std::string verdict = "single device";
-    };
-    FleetPlacement fleet;
 
     /** Consolidated-queue organization (Strategy::Consolidate). When
      *  enabled, the emitter renders the bin-build prologue and the

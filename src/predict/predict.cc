@@ -15,18 +15,22 @@ namespace npp {
 
 namespace {
 
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.precision(12);
-    os << v;
-    return os.str();
-}
-
 /** Process-wide counters shared by PredictRuntime and the harvest
  *  observer (the observer outlives any particular sweep). */
 std::mutex gRuntimeMutex;
+
+/** The heading of the sweep's table, which names how it was pruned. */
+void
+setTitle(PredictSweep &sweep)
+{
+    sweep.title =
+        sweep.usedModel
+            ? fmt("predictive sweep (model ranked {} candidates; "
+                  "simulated {}, pruned {})",
+                  sweep.candidates.size(), sweep.survivors, sweep.pruned)
+            : fmt("predictive sweep (full sweep over {} candidates: {})",
+                  sweep.candidates.size(), sweep.fallbackReason);
+}
 
 } // namespace
 
@@ -43,128 +47,63 @@ predictOptionsFromEnv()
     return opts;
 }
 
-std::string
-PredictSweep::note() const
-{
-    std::ostringstream os;
-    if (usedModel) {
-        os << fmt("predict: model ranked {} candidates; simulated {} "
-                  "(pruned {}); best {} at {} ms\n",
-                  candidates.size(), survivors, pruned, best.toString(),
-                  fixed(bestMs, 6));
-    } else {
-        os << fmt("predict: full sweep over {} candidates ({}); best {} "
-                  "at {} ms\n",
-                  candidates.size(),
-                  fallbackReason.empty() ? "predictor disabled"
-                                         : fallbackReason,
-                  best.toString(), fixed(bestMs, 6));
-    }
-    return os.str();
-}
-
-std::string
-PredictSweep::toJson() const
-{
-    std::ostringstream os;
-    os << "{\"used_model\":" << (usedModel ? "true" : "false");
-    if (!usedModel)
-        os << ",\"fallback_reason\":\"" << jsonEscape(fallbackReason)
-           << "\"";
-    os << ",\"pruned\":" << pruned;
-    os << ",\"survivors\":" << survivors;
-    os << ",\"best\":\"" << jsonEscape(best.toString()) << "\"";
-    os << ",\"best_ms\":" << num(bestMs);
-    os << ",\"candidates\":[";
-    for (size_t i = 0; i < candidates.size(); i++) {
-        const PredictCandidate &c = candidates[i];
-        os << (i ? "," : "") << "{\"mapping\":\""
-           << jsonEscape(c.decision.toString()) << "\",\"score\":"
-           << num(c.score) << ",\"predicted_ms\":" << num(c.predictedMs)
-           << ",\"survived\":" << (c.survived ? "true" : "false")
-           << ",\"score_choice\":" << (c.isScoreChoice ? "true" : "false");
-        if (c.survived)
-            os << ",\"exact_ms\":" << num(c.exactMs);
-        os << "}";
-    }
-    os << "]}";
-    return os.str();
-}
-
 PredictSweep
 predictiveSweep(const Gpu &gpu, const Program &prog, const Bindings &args,
                 CompileOptions base, const PredictModel *model, int topK)
 {
     NPP_TRACE_SCOPE("predict.sweep");
-    PredictSweep sweep;
-
     // Candidate universe: Algorithm 1's score ranking, score choice
     // first — the same pick list the autotuner evaluates exhaustively.
-    const std::vector<ScoredMapping> picks =
-        rankedCandidates(prog, gpu.config(), base, kPredictUniverse);
-
-    sweep.candidates.resize(picks.size());
-    for (size_t i = 0; i < picks.size(); i++) {
-        sweep.candidates[i].decision = picks[i].decision;
-        sweep.candidates[i].score = picks[i].score;
-        sweep.candidates[i].isScoreChoice = i == 0;
-    }
+    std::vector<SweepPoint> points =
+        mappingPoints(prog, gpu.config(), base, kPredictUniverse);
 
     // Survivor selection: everything without a model; with one, rank by
     // predicted time and keep the top-k plus the score choice (so the
-    // pruned sweep can never do worse than Algorithm 1 alone).
-    const ExecOptions eopts; // the sweep's execution configuration
+    // pruned sweep can never do worse than Algorithm 1 alone). The fold
+    // keeps pick order, so pruned and full sweeps agree whenever the
+    // winner survives.
     if (model) {
-        sweep.usedModel = true;
-        for (size_t i = 0; i < picks.size(); i++) {
-            const PredictFeatures f =
-                extractFeatures(prog, picks[i].decision, gpu.config(),
-                                eopts, base.paramValues);
-            sweep.candidates[i].predictedMs = model->predictMs(f);
-        }
-        std::vector<size_t> order(picks.size());
-        for (size_t i = 0; i < order.size(); i++)
+        const ExecOptions eopts; // the sweep's execution configuration
+        std::vector<size_t> order(points.size());
+        for (size_t i = 0; i < points.size(); i++) {
+            points[i].predictedMs = model->predictMs(extractFeatures(
+                prog, points[i].copts.fixedMapping, gpu.config(), eopts,
+                base.paramValues));
+            points[i].pruned = true;
             order[i] = i;
+        }
         std::stable_sort(order.begin(), order.end(),
                          [&](size_t a, size_t b) {
-                             return sweep.candidates[a].predictedMs <
-                                    sweep.candidates[b].predictedMs;
+                             return points[a].predictedMs <
+                                    points[b].predictedMs;
                          });
         const int k = std::max(
-            1, std::min(topK, static_cast<int>(picks.size())));
+            1, std::min(topK, static_cast<int>(points.size())));
         for (int i = 0; i < k; i++)
-            sweep.candidates[order[static_cast<size_t>(i)]].survived =
-                true;
-        sweep.candidates[0].survived = true; // score choice always
-    } else {
-        if (sweep.fallbackReason.empty())
-            sweep.fallbackReason = "no model";
-        for (PredictCandidate &c : sweep.candidates)
-            c.survived = true;
+            points[order[static_cast<size_t>(i)]].pruned = false;
+        points[0].pruned = false; // score choice always
+        for (SweepPoint &p : points)
+            p.note = fmt("predicted {} ms", fixed(p.predictedMs, 4));
     }
+    points[0].note =
+        points[0].note.empty() ? "score choice"
+                               : "score choice; " + points[0].note;
 
-    // Exact simulation of the survivors, concurrently and through the
-    // tiered cache (the harvest observer fires on every genuine miss),
-    // folded in pick order: identical tie-breaking to the full sweep, so
-    // pruned and full agree whenever the winner survives.
-    std::vector<size_t> evalIdx;
-    std::vector<MappingDecision> survivors;
-    for (size_t i = 0; i < sweep.candidates.size(); i++) {
-        if (sweep.candidates[i].survived) {
-            evalIdx.push_back(i);
-            survivors.push_back(sweep.candidates[i].decision);
-        }
-    }
-    const MeasuredMappings measured =
-        measureMappings(gpu, prog, args, base, survivors);
-    for (size_t i = 0; i < evalIdx.size(); i++)
-        sweep.candidates[evalIdx[i]].exactMs = measured.ms[i];
-    sweep.best = survivors[measured.best];
-    sweep.bestMs = measured.ms[measured.best];
-
-    sweep.survivors = static_cast<int64_t>(evalIdx.size());
+    PredictSweep sweep;
+    static_cast<Sweep &>(sweep) =
+        runSweep(gpu, prog, args, std::move(points));
+    sweep.kind = "predict";
+    sweep.usedModel = model != nullptr;
+    if (!model)
+        sweep.fallbackReason = "no model";
+    const SweepPoint &win = *sweep.winner();
+    sweep.best = win.copts.fixedMapping;
+    sweep.bestMs = win.exactMs;
+    for (const SweepPoint &p : sweep.candidates)
+        sweep.survivors += p.simulated() ? 1 : 0;
     sweep.pruned =
         static_cast<int64_t>(sweep.candidates.size()) - sweep.survivors;
+    setTitle(sweep);
     NPP_TRACE_COUNT("predict.survivors",
                     static_cast<double>(sweep.survivors));
     NPP_TRACE_COUNT("predict.pruned", static_cast<double>(sweep.pruned));
@@ -214,19 +153,15 @@ PredictRuntime::setSampleDir(const std::string &dir)
     // invalidates a harvest already in flight.
     std::shared_ptr<SampleWriter> writer = writer_;
     setExactEvalObserver([writer](const ExactEvalInfo &info) {
-        // Only evaluations whose executed mapping the call site could
-        // name become training pairs, and sharded runs are excluded:
-        // their times describe a fraction of the domain, which would
-        // teach the model that partial launches are fast mappings.
-        if (!info.mapping || !writer->enabled())
-            return;
-        if (info.eopts && info.eopts->sharded())
+        // Sharded runs are excluded: their times describe a fraction of
+        // the domain, which would teach the model that partial launches
+        // are fast mappings.
+        if (!writer->enabled() || info.eopts->sharded())
             return;
         PredictSample sample;
-        sample.features = extractFeatures(
-            *info.prog, *info.mapping, *info.device, *info.eopts,
-            info.paramValues ? *info.paramValues
-                             : std::unordered_map<int, double>{});
+        sample.features =
+            extractFeatures(*info.prog, *info.mapping, *info.device,
+                            *info.eopts, *info.paramValues);
         sample.measuredMs = info.report->totalMs;
         writer->append(sample);
     });
@@ -281,8 +216,10 @@ PredictRuntime::sweep(const Gpu &gpu, const Program &prog,
     PredictSweep result = predictiveSweep(
         gpu, prog, args, base, model ? &*model : nullptr,
         kPredictDefaultTopK);
-    if (!enabled && !result.usedModel)
+    if (!enabled && !result.usedModel) {
         result.fallbackReason = "predictor disabled";
+        setTitle(result);
+    }
     {
         std::lock_guard<std::mutex> lock(gRuntimeMutex);
         pruned_ += static_cast<uint64_t>(result.pruned);

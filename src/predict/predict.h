@@ -25,7 +25,7 @@
 #include <memory>
 
 #include "predict/model.h"
-#include "sim/evalcache.h"
+#include "sim/sweep.h"
 
 namespace npp {
 
@@ -48,36 +48,20 @@ struct PredictOptions
  *  garbage via the hardened env helpers). */
 PredictOptions predictOptionsFromEnv();
 
-/** One candidate's verdict in a predictive sweep. */
-struct PredictCandidate
-{
-    MappingDecision decision;
-    double score = 0.0;       //!< Algorithm 1 soft-constraint score
-    double predictedMs = 0.0; //!< model ranking (0 without a model)
-    bool survived = false;    //!< exactly simulated?
-    bool isScoreChoice = false;
-    double exactMs = 0.0;     //!< simulated time (survivors only)
-};
-
-/** Outcome of one predictive sweep. */
-struct PredictSweep
+/** Outcome of one predictive sweep: every candidate, with its
+ *  predicted time and its pruned flag, plus the winner. */
+struct PredictSweep : Sweep
 {
     /** False when the sweep fell back to full evaluation. */
     bool usedModel = false;
     /** Why there was no pruning ("" when usedModel). */
     std::string fallbackReason;
 
-    std::vector<PredictCandidate> candidates; //!< deterministic order
     MappingDecision best;
     double bestMs = 0.0;
 
     int64_t pruned = 0;    //!< candidates skipped on the model's word
     int64_t survivors = 0; //!< candidates exactly simulated
-
-    /** Explain-report annotations (SearchExplanation::predictNote /
-     *  predictJson — same contract as the fleet/consolidation layers). */
-    std::string note() const;
-    std::string toJson() const;
 };
 
 /**
@@ -132,7 +116,6 @@ class PredictRuntime
      *  and stays only so two-argument callers keep compiling. */
     void setEnabled(bool on, int topK = kPredictDefaultTopK);
 
-    const PredictOptions &options() const { return opts_; }
     /** Whether sweeps should run at all (NPP_PREDICT=1 or setEnabled);
      *  true even without a model — those sweeps fall back to full
      *  evaluation but still report provenance. */

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -25,6 +26,7 @@
 #include "sim/evalcache.h"
 #include "sim/fleet.h"
 #include "sim/gpu.h"
+#include "sim/sweep.h"
 #include "support/logging.h"
 #include "support/strings.h"
 #include "support/trace.h"
@@ -51,16 +53,10 @@ struct EvalOutcome
     std::string explanation;
     SimReport report;
     EvalTier tier = EvalTier::Simulated;
-    /** Multi-device sweep result (requests with "devices" > 1). */
-    int devices = 1;
-    std::string fleetJson;
-    /** Consolidation sweep result (programs with a runtime-sized inner
-     *  domain); empty for static-shaped programs. */
-    std::string consolidationJson;
-    /** Predictive-pruning provenance (NPP_PREDICT=1 servers): the
-     *  ranked candidates, survive/prune verdicts, and empirical winner.
-     *  Empty when the predictor is off. */
-    std::string predictJson;
+    /** (response key, sweepJson) of each sweep that ran: "fleet"
+     *  (devices > 1), "consolidation" (runtime-sized inner domains),
+     *  "predict" (NPP_PREDICT=1 servers). */
+    std::vector<std::pair<std::string, std::string>> sweeps;
 };
 
 bool
@@ -130,7 +126,14 @@ struct MappingServer::Impl
     int listenFd = -1;
     int stopPipe[2] = {-1, -1};
     std::thread acceptThread;
-    std::vector<std::thread> connThreads;
+
+    /** One connection's thread; `done` is its last write. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    std::list<Connection> conns; //!< unjoined connection threads
     std::vector<int> connFds; //!< open connections, for shutdown on stop
     std::mutex connMutex;
     std::atomic<bool> stopping{false};
@@ -168,47 +171,38 @@ struct MappingServer::Impl
         CompileResult compiled =
             compileProgram(*demo.prog, gpu.config(), copts);
 
-        EvalTier tier = EvalTier::Simulated;
         out->report = cachedRun(gpu, compiled.spec, args, eopts, specSeed,
-                                bindingsHash, /*wantOutputs=*/false, &tier);
-        out->tier = tier;
+                                bindingsHash, /*wantOutputs=*/false,
+                                &out->tier);
         out->ok = true;
         out->mapping = compiled.spec.mapping.toString();
         out->score = compiled.spec.score;
         out->dop = compiled.spec.dop;
         out->fusedPatterns = compiled.fusedPatterns;
+        // Each sweep joins the response and the decision report.
+        SearchExplanation &ex = compiled.explanation;
+        const auto attach = [&](const char *key, const Sweep &sweep,
+                                std::string &note, std::string &json) {
+            note = sweepText(sweep);
+            json = sweepJson(sweep);
+            out->sweeps.emplace_back(key, json);
+        };
         if (devices > 1) {
-            // Score (deviceCount, splitPoint) across the fleet and fold
-            // the verdicts into the decision report.
-            const FleetChoice choice =
-                searchFleet(gpu, compiled.spec, args, fleetK20c(devices),
-                            eopts, specSeed);
-            out->devices = devices;
-            out->fleetJson = fleetChoiceJson(choice);
-            compiled.explanation.fleetNote = formatFleetChoice(choice);
-            compiled.explanation.fleetJson = out->fleetJson;
+            attach("fleet",
+                   searchFleet(gpu, compiled.spec, args, fleetK20c(devices),
+                               eopts, specSeed),
+                   ex.fleetNote, ex.fleetJson);
         }
         if (hasDynamicInnerExtent(*demo.prog)) {
-            // Runtime-sized inner domains: sweep the consolidation
-            // candidates so the response names why consolidation won
-            // or lost against the best static mapping.
-            const ConsolidationChoice choice = searchConsolidation(
-                gpu, *demo.prog, args, copts, eopts);
-            out->consolidationJson = consolidationChoiceJson(choice);
-            compiled.explanation.consolidationNote =
-                formatConsolidationChoice(choice);
-            compiled.explanation.consolidationJson =
-                out->consolidationJson;
+            attach("consolidation",
+                   searchConsolidation(gpu, *demo.prog, args, copts, eopts),
+                   ex.consolidationNote, ex.consolidationJson);
         }
         if (PredictRuntime::instance().active()) {
-            // Predictive provenance: rank + prune + exactly simulate the
-            // survivors, and report every verdict alongside the
-            // score-based selection the response is built from.
-            const PredictSweep sweep = PredictRuntime::instance().sweep(
-                gpu, *demo.prog, args, copts);
-            out->predictJson = sweep.toJson();
-            compiled.explanation.predictNote = sweep.note();
-            compiled.explanation.predictJson = out->predictJson;
+            attach("predict",
+                   PredictRuntime::instance().sweep(gpu, *demo.prog, args,
+                                                    copts),
+                   ex.predictNote, ex.predictJson);
         }
         out->explanation = formatSearchExplanation(compiled.explanation);
         return out;
@@ -342,6 +336,7 @@ struct MappingServer::Impl
         const bool explain =
             req.get("explain") && req.get("explain")->asBool();
         std::string resp = "{\"ok\":true," + echoPrefix(req);
+        resp += fmt("\"protocol\":{},", kServeProtocol);
         resp += fmt("\"program\":\"{}\",", jsonEscape(program));
         resp += fmt("\"mapping\":\"{}\",", jsonEscape(outcome->mapping));
         resp += fmt("\"score\":{},\"dop\":{},", outcome->score, outcome->dop);
@@ -351,16 +346,10 @@ struct MappingServer::Impl
             resp += fmt("\"explanation\":\"{}\",",
                         jsonEscape(outcome->explanation));
         resp += fmt("\"provenance\":\"{}\",", evalTierName(outcome->tier));
-        if (outcome->devices > 1) {
-            resp += fmt("\"devices\":{},", outcome->devices);
-            resp += "\"fleet\":" + outcome->fleetJson + ",";
-        }
-        if (!outcome->consolidationJson.empty()) {
-            resp += "\"consolidation\":" + outcome->consolidationJson +
-                    ",";
-        }
-        if (!outcome->predictJson.empty())
-            resp += "\"predict\":" + outcome->predictJson + ",";
+        if (devices > 1)
+            resp += fmt("\"devices\":{},", devices);
+        for (const auto &[key, json] : outcome->sweeps)
+            resp += fmt("\"{}\":{},", key, json);
         resp += fmt("\"coalesced\":{},", leader ? "false" : "true");
         resp += fmt("\"coalesce_model\":\"{}\",", kCoalesceModelVersion);
         resp += "\"report\":" +
@@ -511,10 +500,26 @@ struct MappingServer::Impl
                          std::strerror(errno));
                 continue;
             }
-            std::lock_guard<std::mutex> lock(connMutex);
-            connFds.push_back(fd);
-            connThreads.emplace_back(
-                [this, fd] { serveConnection(fd); });
+            // Join the threads whose clients are done, so a long-lived
+            // server keeps only its open connections' stacks.
+            std::list<Connection> finished;
+            {
+                std::lock_guard<std::mutex> lock(connMutex);
+                for (auto it = conns.begin(); it != conns.end();) {
+                    const auto next = std::next(it);
+                    if (it->done.load())
+                        finished.splice(finished.end(), conns, it);
+                    it = next;
+                }
+                connFds.push_back(fd);
+                Connection &conn = conns.emplace_back();
+                conn.thread = std::thread([this, fd, &conn] {
+                    serveConnection(fd);
+                    conn.done.store(true);
+                });
+            }
+            for (Connection &conn : finished)
+                conn.thread.join();
         }
     }
 };
@@ -589,14 +594,14 @@ MappingServer::wait()
         im.acceptThread.join();
     // Joining must not hold connMutex: a connection thread that carried
     // a shutdown request takes the lock inside signalStop().
-    std::vector<std::thread> threads;
+    std::list<Impl::Connection> conns;
     {
         std::lock_guard<std::mutex> lock(im.connMutex);
-        threads.swap(im.connThreads);
+        conns.swap(im.conns);
     }
-    for (auto &t : threads)
-        if (t.joinable())
-            t.join();
+    for (Impl::Connection &conn : conns)
+        if (conn.thread.joinable())
+            conn.thread.join();
 }
 
 void

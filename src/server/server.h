@@ -21,7 +21,21 @@
  *                                // sweep (sim/fleet.h)
  *      "id":7}                   // echoed back verbatim
  *
- * Concurrency: one thread per connection. Identical in-flight requests
+ * An eval response carries "protocol":kServeProtocol. Its "fleet",
+ * "consolidation" (programs with a runtime-sized inner domain) and
+ * "predict" (NPP_PREDICT=1 servers) objects are sweep sections in the
+ * one schema of sweepJson (sim/sweep.h):
+ *     {"sweep":"fleet","title":"...","best":1,"best_ms":...,
+ *      "baseline_ms":...,"speedup":...,"selected":"devices=2 ...",
+ *      "points":[{"label":"devices=1","devices":1,"split":512,
+ *                 "score":0,"predicted_ms":0,"score_choice":true,
+ *                 "status":"simulated","ms":...,"note":"..."}, ...]}
+ * where "best" indexes "points" (-1: nothing simulated) and a point's
+ * "status" is simulated (with "ms"), pruned, or filtered (with the
+ * hard-filter "verdict").
+ *
+ * Concurrency: one thread per connection, joined by the accept loop
+ * once its client is done. Identical in-flight requests
  * — same program, sizes, strategy, device, fleet — are coalesced onto a single
  * evaluation keyed by the same fingerprint the EvalCache uses; the
  * waiters share the leader's outcome and their responses are marked
@@ -37,6 +51,10 @@
 #include <string>
 
 namespace npp {
+
+/** Version of the eval response, sent as "protocol". 2: the fleet,
+ *  consolidation and predict objects follow the sweep section schema. */
+inline constexpr int kServeProtocol = 2;
 
 struct ServeOptions
 {

@@ -3,52 +3,32 @@
  * Consolidation sweep for programs with runtime-sized inner domains:
  * score the searched static mapping against the warp- and block-bin
  * consolidated mappings (analysis/consolidate.h) and report which one
- * wins and why. The sweep is the consolidation analogue of the
- * multi-device fleet sweep (sim/fleet.h): its verdicts feed the
- * --explain report (SearchExplanation::consolidationNote/Json) so a
- * caller can see the queue-build cost, bin fill, and the margin by
- * which consolidation beat — or lost to — the best static mapping.
+ * wins and why. It is one of the sweeps of sim/sweep.h: its table
+ * feeds the --explain report (SearchExplanation::consolidationNote/
+ * Json) so a caller can see the queue-build cost, bin fill, and the
+ * margin by which consolidation beat — or lost to — the best static
+ * mapping.
  */
 
 #ifndef NPP_SIM_CONSOLIDATION_H
 #define NPP_SIM_CONSOLIDATION_H
 
 #include <string>
-#include <vector>
 
-#include "sim/evalcache.h"
-#include "sim/gpu.h"
+#include "sim/sweep.h"
 
 namespace npp {
 
-/** One scored entry of the sweep: the static baseline or one bin
- *  granularity. */
-struct ConsolidationCandidate
-{
-    std::string label;   //!< "static (searched)", "warp bins", ...
-    Strategy strategy = Strategy::MultiDim;
-    BinGranularity granularity = BinGranularity::Warp;
-    bool feasible = false;
-    std::string verdict; //!< eligibility reason when infeasible
-    double totalMs = 0.0;
-    double queueBuildMs = 0.0;
-    double binFill = 1.0;
-    EvalTier tier = EvalTier::Simulated;
-};
-
-/** Sweep outcome: the winning mapping plus every candidate's verdict. */
-struct ConsolidationChoice
+/** Sweep outcome: the winning mapping plus every point's verdict. The
+ *  first point is the static mapping, so it wins ties. */
+struct ConsolidationChoice : Sweep
 {
     /** True when a consolidated candidate beat the static baseline. */
     bool consolidated = false;
     /** Winning granularity (meaningful when consolidated). */
     BinGranularity granularity = BinGranularity::Warp;
-    /** One-line verdict: why consolidation won or lost. */
-    std::string verdict;
     double staticMs = 0.0; //!< best static mapping's modeled time
     double bestMs = 0.0;   //!< winner's modeled time
-    double speedup = 1.0;  //!< staticMs / bestMs
-    std::vector<ConsolidationCandidate> candidates;
 };
 
 /**
@@ -57,7 +37,7 @@ struct ConsolidationChoice
  * raw pointers) so the static baseline matches what the caller would
  * have launched. A program without a runtime-sized inner domain — or
  * one the eligibility filter rejects — yields a not-consolidated
- * choice whose verdict names the reason.
+ * choice whose verdict (`selected`) names the reason.
  */
 ConsolidationChoice searchConsolidation(const Gpu &gpu,
                                         const Program &prog,
@@ -65,10 +45,10 @@ ConsolidationChoice searchConsolidation(const Gpu &gpu,
                                         const CompileOptions &base,
                                         const ExecOptions &eopts);
 
-/** Human-readable sweep table (--explain text form). */
+/** sweepText(choice). Kept while perfbench calls it by this name. */
 std::string formatConsolidationChoice(const ConsolidationChoice &choice);
 
-/** Machine-readable sweep object (--explain JSON form). */
+/** sweepJson(choice). Kept while perfbench calls it by this name. */
 std::string consolidationChoiceJson(const ConsolidationChoice &choice);
 
 } // namespace npp

@@ -997,35 +997,40 @@ SimReport
 cachedCompileAndRun(const Gpu &gpu, const Program &prog,
                     const Bindings &args, const CompileOptions &copts,
                     const ExecOptions &eopts, bool wantOutputs,
-                    EvalTier *tierOut)
+                    EvalTier *tierOut, const EvalKeyParts *hashed)
 {
     EvalCache &cache = EvalCache::instance();
+    EvalKeyParts parts;
+    if (hashed)
+        parts = *hashed;
+    else if (cache.enabled())
+        parts = {EvalCache::hashProgram(prog),
+                 EvalCache::hashDevice(gpu.config()),
+                 EvalCache::hashBindings(args)};
     ExecOptions eo = eopts;
     eo.metricsOnly = !wantOutputs;
     if (tierOut)
         *tierOut = EvalTier::Simulated;
-    // The executed mapping is nameable without compiling only under
-    // Strategy::Fixed (compile may still apply hard spans; our own
-    // sweeps enumerate hard-feasible candidates, so the two agree).
-    const MappingDecision *mapping =
-        copts.strategy == Strategy::Fixed ? &copts.fixedMapping : nullptr;
-    if (!cache.enabled()) {
-        SimReport report = gpu.compileAndRun(prog, args, copts, eo);
-        notifyExactEval({&prog, mapping, &copts.paramValues, &eo,
-                         &gpu.config(), &report});
-        return report;
-    }
-
     const uint64_t key = EvalCache::combine(
-        EvalCache::combine(EvalCache::specSeed(prog, copts, gpu.config()),
-                           EvalCache::hashBindings(args)),
+        EvalCache::combine(
+            EvalCache::combine(
+                EvalCache::combine(parts.program,
+                                   EvalCache::hashCompileOptions(copts)),
+                parts.device),
+            parts.bindings),
         EvalCache::hashExec(eo));
     if (auto hit = cache.find(key, wantOutputs, &args, tierOut))
         return *hit;
-    SimReport report = gpu.compileAndRun(prog, args, copts, eo);
+    const CompileResult compiled = compileProgram(prog, gpu.config(), copts);
+    SimReport report = gpu.run(compiled.spec, args, eo);
     cache.store(key, report, wantOutputs ? &args : nullptr);
-    notifyExactEval({&prog, mapping, &copts.paramValues, &eo,
-                     &gpu.config(), &report});
+    // A fixed mapping names itself (compile may still apply hard spans;
+    // the sweeps enumerate hard-feasible candidates, so the two agree).
+    notifyExactEval({&prog,
+                     copts.strategy == Strategy::Fixed
+                         ? &copts.fixedMapping
+                         : &compiled.spec.mapping,
+                     &copts.paramValues, &eo, &gpu.config(), &report});
     return report;
 }
 
@@ -1053,7 +1058,7 @@ cachedRun(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
         *tierOut = EvalTier::Simulated;
     if (!cache.enabled()) {
         SimReport report = gpu.run(spec, args, eo);
-        notifyExactEval({spec.prog, &spec.mapping, nullptr, &eo,
+        notifyExactEval({spec.prog, &spec.mapping, &spec.paramValues, &eo,
                          &gpu.config(), &report});
         return report;
     }
@@ -1064,7 +1069,7 @@ cachedRun(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
         return *hit;
     SimReport report = gpu.run(spec, args, eo);
     cache.store(key, report, wantOutputs ? &args : nullptr);
-    notifyExactEval({spec.prog, &spec.mapping, nullptr, &eo,
+    notifyExactEval({spec.prog, &spec.mapping, &spec.paramValues, &eo,
                      &gpu.config(), &report});
     return report;
 }

@@ -225,10 +225,11 @@ class EvalCache
  * replays of an evaluation that already fired). The predict layer
  * installs a harvester here so every exact simulation becomes a labeled
  * (features, time) training pair; sim/ cannot depend on predict/, so
- * the hook is a plain setter. `mapping` is the executed decision when
- * the call site can name one (cachedRun's spec, cachedCompileAndRun
- * under Strategy::Fixed) and null otherwise; `paramValues` is null when
- * the call site has no CompileOptions (cachedRun). The observer may be
+ * the hook is a plain setter. `mapping` is the executed decision:
+ * cachedRun's spec, the fixed mapping of a Strategy::Fixed compile, or
+ * the compiled spec's mapping otherwise. `prog` is the caller's program
+ * (cachedCompileAndRun) or the spec's (cachedRun), and `paramValues`
+ * the compile-time sizes the spec was built with. The observer may be
  * invoked concurrently (parallel sweeps) and must not re-enter the
  * cached entry points.
  *  @{
@@ -236,8 +237,8 @@ class EvalCache
 struct ExactEvalInfo
 {
     const Program *prog = nullptr;
-    const MappingDecision *mapping = nullptr;                //!< may be null
-    const std::unordered_map<int, double> *paramValues = nullptr; //!< may be null
+    const MappingDecision *mapping = nullptr;
+    const std::unordered_map<int, double> *paramValues = nullptr;
     const ExecOptions *eopts = nullptr;
     const DeviceConfig *device = nullptr;
     const SimReport *report = nullptr;
@@ -251,18 +252,32 @@ using ExactEvalObserver = std::function<void(const ExactEvalInfo &)>;
 void setExactEvalObserver(ExactEvalObserver observer);
 /** @} */
 
+/** EvalCache::hashProgram, hashDevice and hashBindings of one
+ *  evaluation, for a caller that evaluates many compile options of one
+ *  program on one device and one set of bindings. */
+struct EvalKeyParts
+{
+    uint64_t program = 0;
+    uint64_t device = 0;
+    uint64_t bindings = 0;
+};
+
 /**
- * Memoized Gpu::compileAndRun. `wantOutputs` selects functional fidelity:
- * true runs (and stores) full outputs; false runs metrics-only, which is
- * cheaper (block classing) and race-free under concurrency. `tierOut`
+ * Memoized Gpu::compileAndRun: the program is compiled only when both
+ * tiers miss. `wantOutputs` selects functional fidelity: true runs (and
+ * stores) full outputs; false runs metrics-only, which is cheaper
+ * (block classing) and race-free under concurrency. `tierOut`
  * (optional) reports the cache-tier provenance of the returned report;
  * EvalTier::Simulated when both tiers missed or the cache is disabled.
+ * `hashed` (optional) holds the key parts when the caller hashed them
+ * already.
  */
 SimReport cachedCompileAndRun(const Gpu &gpu, const Program &prog,
                               const Bindings &args,
                               const CompileOptions &copts,
                               const ExecOptions &eopts, bool wantOutputs,
-                              EvalTier *tierOut = nullptr);
+                              EvalTier *tierOut = nullptr,
+                              const EvalKeyParts *hashed = nullptr);
 
 /**
  * Memoized Gpu::run for an already-compiled spec. `specSeed` must

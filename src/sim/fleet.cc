@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "runtime/eval.h"
 #include "sim/timing.h"
@@ -58,11 +57,11 @@ shardOutputBytes(const KernelSpec &spec, const Bindings &args,
 FleetReport
 runOnFleet(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
            const FleetConfig &fleet, const ExecOptions &eopts,
-           int64_t splitPoint, uint64_t specSeed)
+           int64_t splitPoint, uint64_t specSeed,
+           std::optional<uint64_t> bindingsHash)
 {
     NPP_TRACE_SCOPE("fleet.run");
     FleetReport report;
-    report.fleet = fleet;
 
     const Program &prog = *spec.prog;
     const int64_t outerSize = rootDomainSize(spec, args);
@@ -78,6 +77,8 @@ runOnFleet(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
     // on a functional fleet run.
     const bool useCache =
         specSeed != 0 && (eopts.metricsOnly || single);
+    if (useCache && !bindingsHash && EvalCache::instance().enabled())
+        bindingsHash = EvalCache::hashBindings(args);
 
     double combined = reduceRoot && !eopts.metricsOnly
                           ? combinerIdentity(prog.root().combiner)
@@ -95,6 +96,7 @@ runOnFleet(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
         SimReport r =
             useCache
                 ? cachedRun(gpu, spec, args, shardOpts, specSeed,
+                            bindingsHash.value_or(0),
                             /*wantOutputs=*/!eopts.metricsOnly)
                 : gpu.run(spec, args, shardOpts);
         if (reduceRoot && !single && !eopts.metricsOnly) {
@@ -128,129 +130,76 @@ searchFleet(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
             uint64_t specSeed)
 {
     NPP_TRACE_SCOPE("fleet.search");
-    FleetChoice choice;
-
-    // Scoring never needs materialized outputs; metrics-only runs also
-    // unlock block classing and cache sharing with the mapping search.
-    ExecOptions scoreOpts = eopts;
-    scoreOpts.metricsOnly = true;
-
     const int64_t outerSize = rootDomainSize(spec, args);
     const int64_t unit = outerShardUnit(spec.mapping);
-    const int maxDevices = std::max(maxFleet.deviceCount, 1);
-
-    bool haveBest = false;
-    for (int n = 1; n <= maxDevices; n++) {
-        FleetConfig fleet = maxFleet;
-        fleet.deviceCount = n;
+    std::vector<SweepPoint> points;
+    for (int n = 1; n <= std::max(maxFleet.deviceCount, 1); n++) {
         const std::vector<int64_t> splits =
             n == 1 ? std::vector<int64_t>{-1}
                    : splitPointCandidates(outerSize, n, unit);
         for (int64_t sp : splits) {
-            FleetCandidate cand;
-            cand.deviceCount = n;
-            cand.splitPoint = sp;
-            FleetReport report = runOnFleet(gpu, spec, args, fleet,
-                                            scoreOpts, sp, specSeed);
-            cand.verdict = report.plan.verdict;
-            cand.feasible = report.plan.valid;
-            if (report.plan.valid) {
-                cand.fleetMs = report.fleetMs;
-                cand.splitPoint = report.plan.splitPoint;
-                // The balanced (-1) request resolves to a concrete split
-                // that one of the unit-rounded candidates may repeat;
-                // keep only the first occurrence.
-                bool dup = false;
-                for (const FleetCandidate &prev : choice.candidates)
-                    dup |= prev.deviceCount == n && prev.feasible &&
-                           prev.splitPoint == cand.splitPoint;
-                if (dup)
-                    continue;
-                if (n == 1)
-                    choice.singleMs = report.fleetMs;
-                if (!haveBest || report.fleetMs < choice.fleetMs) {
-                    haveBest = true;
-                    choice.deviceCount = n;
-                    choice.splitPoint =
-                        n == 1 ? -1 : report.plan.splitPoint;
-                    choice.fleetMs = report.fleetMs;
-                    choice.best = std::move(report);
-                }
-            }
-            const bool feasible = cand.feasible;
-            choice.candidates.push_back(std::move(cand));
-            // One infeasible candidate per device count is enough: the
-            // hard filter (domain too small, cross-outer dependence)
-            // does not depend on the split point.
-            if (!feasible)
+            const ShardPlan plan =
+                partitionOuter(*spec.prog, spec.mapping, outerSize, n, sp);
+            SweepPoint p;
+            p.label = fmt("devices={}", n);
+            p.spec = &spec;
+            p.specSeed = specSeed;
+            p.deviceCount = n;
+            p.splitPoint = sp;
+            p.isScoreChoice = n == 1;
+            if (!plan.valid) {
+                // One verdict per device count: the hard filters (domain
+                // too small, cross-outer dependence) do not depend on
+                // the split point.
+                p.filtered = plan.verdict;
+                points.push_back(std::move(p));
                 break;
+            }
+            // The balanced request resolves to a concrete split with the
+            // same shards, which an aligned candidate may repeat.
+            const auto same = [&](const SweepPoint &q) {
+                return q.deviceCount == n && q.simulated() &&
+                       q.splitPoint == plan.splitPoint;
+            };
+            if (std::any_of(points.begin(), points.end(), same))
+                continue;
+            p.splitPoint = plan.splitPoint;
+            if (n > 1)
+                p.label += fmt(" split={}", p.splitPoint);
+            points.push_back(std::move(p));
         }
+    }
+
+    FleetChoice choice;
+    static_cast<Sweep &>(choice) =
+        runSweep(gpu, *spec.prog, args, std::move(points), eopts, maxFleet);
+    choice.kind = "fleet";
+    choice.title = fmt("multi-device sweep (peer {} GB/s, {} us/transfer)",
+                       maxFleet.peerBandwidthGBs, maxFleet.peerLatencyUs);
+    if (const SweepPoint *one = choice.baseline(); one && one->simulated())
+        choice.singleMs = one->exactMs;
+    for (SweepPoint &p : choice.candidates) {
+        if (p.simulated() && choice.singleMs > 0.0 && p.exactMs > 0.0)
+            p.note = fixed(choice.singleMs / p.exactMs, 4) +
+                     "x vs one device";
+    }
+    if (const SweepPoint *best = choice.winner()) {
+        choice.deviceCount = best->deviceCount;
+        choice.splitPoint = best->deviceCount > 1 ? best->splitPoint : -1;
+        choice.fleetMs = best->exactMs;
     }
     if (choice.fleetMs > 0.0)
         choice.speedup = choice.singleMs / choice.fleetMs;
-    return choice;
-}
-
-std::string
-formatFleetChoice(const FleetChoice &choice)
-{
-    std::ostringstream os;
-    os << "multi-device sweep (peer "
-       << choice.best.fleet.peerBandwidthGBs << " GB/s, "
-       << choice.best.fleet.peerLatencyUs << " us/transfer):\n";
-    for (const FleetCandidate &c : choice.candidates) {
-        os << "  devices=" << c.deviceCount;
-        if (c.deviceCount > 1 && c.feasible)
-            os << " split=" << c.splitPoint;
-        if (c.feasible) {
-            os << "  " << fixed(c.fleetMs, 4) << " ms";
-            if (choice.singleMs > 0.0 && c.fleetMs > 0.0)
-                os << "  (" << fixed(choice.singleMs / c.fleetMs, 4)
-                   << "x vs one device)";
-        } else {
-            os << "  hard-filtered: " << c.verdict;
-        }
-        os << "\n";
-    }
-    os << "selected: devices=" << choice.deviceCount;
+    choice.selected = fmt("devices={}", choice.deviceCount);
     if (choice.deviceCount > 1) {
-        os << " split=" << choice.splitPoint << " — "
-           << fixed(choice.speedup, 4) << "x over one device ("
-           << fixed(choice.best.interMs, 4) << " ms inter-device)";
+        choice.selected += fmt(
+            " split={} — {}x over one device ({} ms inter-device)",
+            choice.splitPoint, fixed(choice.speedup, 4),
+            fixed(choice.winner()->interMs, 4));
     } else {
-        os << " (sharding does not pay off here)";
+        choice.selected += " (sharding does not pay off here)";
     }
-    os << "\n";
-    return os.str();
-}
-
-std::string
-fleetChoiceJson(const FleetChoice &choice)
-{
-    std::ostringstream os;
-    os << "{\"devices\":" << choice.deviceCount
-       << ",\"split\":" << choice.splitPoint
-       << ",\"fleet_ms\":" << choice.fleetMs
-       << ",\"single_ms\":" << choice.singleMs
-       << ",\"speedup\":" << choice.speedup
-       << ",\"inter_ms\":" << choice.best.interMs
-       << ",\"candidates\":[";
-    bool first = true;
-    for (const FleetCandidate &c : choice.candidates) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"devices\":" << c.deviceCount
-           << ",\"split\":" << c.splitPoint << ",\"feasible\":"
-           << (c.feasible ? "true" : "false");
-        if (c.feasible)
-            os << ",\"fleet_ms\":" << c.fleetMs;
-        else
-            os << ",\"verdict\":\"" << jsonEscape(c.verdict) << "\"";
-        os << "}";
-    }
-    os << "]}";
-    return os.str();
+    return choice;
 }
 
 } // namespace npp

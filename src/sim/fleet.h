@@ -5,9 +5,10 @@
  * every shard runs as its own launch on one simulated device via
  * ExecOptions::rootShard*, and the shard results meet over a peer link
  * whose cost the timing model charges (interDeviceMs). The fleet
- * search sweeps (deviceCount, splitPoint) — scored by simulation, hard
- * filters explained per candidate — so device count joins block size
- * and span type as just another mapping parameter.
+ * search is a sweep (sim/sweep.h) over (deviceCount, splitPoint) —
+ * scored by simulation, hard filters explained per point — so device
+ * count joins block size and span type as just another mapping
+ * parameter.
  *
  * Guarantees:
  *  - deviceCount == 1 is byte-for-byte today's single-device path: the
@@ -23,19 +24,16 @@
 #ifndef NPP_SIM_FLEET_H
 #define NPP_SIM_FLEET_H
 
-#include <string>
-#include <vector>
+#include <optional>
 
 #include "analysis/partition.h"
-#include "sim/evalcache.h"
-#include "sim/gpu.h"
+#include "sim/sweep.h"
 
 namespace npp {
 
 /** Result of running one program across a fleet. */
 struct FleetReport
 {
-    FleetConfig fleet;
     ShardPlan plan;
 
     /** One report per shard (empty when the plan is infeasible). */
@@ -57,27 +55,19 @@ struct FleetReport
  * run, per-shard results go through the EvalCache (shard bounds join
  * the exec hash, so no cross-fleet entry can ever satisfy a lookup);
  * functional runs always simulate so caller arrays are written.
- * An infeasible partition returns plan.valid == false with the verdict
- * set and no per-device reports.
+ * `bindingsHash` is EvalCache::hashBindings(args) when the caller has
+ * it already. An infeasible partition returns plan.valid == false with
+ * the verdict set and no per-device reports.
  */
 FleetReport runOnFleet(const Gpu &gpu, const KernelSpec &spec,
                        const Bindings &args, const FleetConfig &fleet,
                        const ExecOptions &eopts = {},
-                       int64_t splitPoint = -1, uint64_t specSeed = 0);
+                       int64_t splitPoint = -1, uint64_t specSeed = 0,
+                       std::optional<uint64_t> bindingsHash = {});
 
-/** One scored (deviceCount, splitPoint) candidate of the fleet search. */
-struct FleetCandidate
-{
-    int deviceCount = 1;
-    int64_t splitPoint = -1;
-    bool feasible = false;
-    /** Hard-filter reason when infeasible; "ok" otherwise. */
-    std::string verdict;
-    double fleetMs = 0.0;
-};
-
-/** Outcome of the (deviceCount, splitPoint) sweep. */
-struct FleetChoice
+/** Outcome of the (deviceCount, splitPoint) sweep. A point's splitPoint
+ *  is its first shard's size (the whole domain on one device). */
+struct FleetChoice : Sweep
 {
     /** The winning configuration (deviceCount 1 when sharding never
      *  beats one device or is hard-filtered). */
@@ -90,30 +80,21 @@ struct FleetChoice
 
     /** singleMs / fleetMs of the winner (1.0 when N=1 wins). */
     double speedup = 1.0;
-
-    /** Every candidate evaluated or hard-filtered, in sweep order. */
-    std::vector<FleetCandidate> candidates;
-
-    /** Full report of the winning configuration. */
-    FleetReport best;
 };
 
 /**
  * Sweep deviceCount in [1, maxFleet.deviceCount] and, per count, the
  * partitioner's split candidates (balanced plus root-block-aligned),
- * scoring each by metrics-only fleet simulation. `specSeed` (from the
+ * scoring each by metrics-only fleet simulation. Partition verdicts
+ * are resolved before evaluation: a device count whose plan is
+ * infeasible shows one hard-filtered point, and a balanced split that
+ * lands on an aligned candidate is listed once. `specSeed` (from the
  * compile fingerprint) enables per-shard eval caching.
  */
 FleetChoice searchFleet(const Gpu &gpu, const KernelSpec &spec,
                         const Bindings &args, const FleetConfig &maxFleet,
                         const ExecOptions &eopts = {},
                         uint64_t specSeed = 0);
-
-/** Human-readable sweep table + selection line (nppc --explain). */
-std::string formatFleetChoice(const FleetChoice &choice);
-
-/** JSON object for --stats exports and the serve protocol. */
-std::string fleetChoiceJson(const FleetChoice &choice);
 
 } // namespace npp
 

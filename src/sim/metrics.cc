@@ -9,15 +9,6 @@ namespace npp {
 
 namespace {
 
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
-
 /** Writes the comma-separated `"key":value` members of one JSON object
  *  (the caller writes the braces). */
 class JsonMembers
@@ -34,7 +25,7 @@ class JsonMembers
         return os_;
     }
 
-    void put(const char *k, double v) { key(k) << num(v); }
+    void put(const char *k, double v) { key(k) << exactNum(v); }
     void put(const char *k, int64_t v) { key(k) << v; }
     void put(const char *k, bool v) { key(k) << (v ? "true" : "false"); }
 

@@ -40,6 +40,15 @@ fixed(double v, int precision)
 }
 
 std::string
+exactNum(double v)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << v;
+    return os.str();
+}
+
+std::string
 jsonEscape(const std::string &s)
 {
     std::string out;

@@ -117,6 +117,10 @@ std::string padRight(const std::string &s, int width);
 /** Format a double with fixed precision. */
 std::string fixed(double v, int precision);
 
+/** `v` with 17 significant digits, enough to read back the same double
+ *  (JSON exports). */
+std::string exactNum(double v);
+
 /** Escape a string for embedding inside a JSON string literal: quote,
  *  backslash, \n, \r and \t get their short escapes, other control
  *  characters become \u00XX. */

@@ -157,8 +157,8 @@ TEST(Constraints, EnclosingStoreIsNotSplittable)
     const Program stores = build(true);
     const ConstraintSet cs = constraintsFor(stores);
     EXPECT_FALSE(cs.splittable[1]);
-    EXPECT_NE(cs.unsplittableReason[1].find("Store"), std::string::npos)
-        << cs.unsplittableReason[1];
+    EXPECT_EQ(cs.unsplittableReason[1], "a Store in an enclosing body would "
+                                        "run once per block of this level");
 
     const Program nestedStores = build(false);
     const ConstraintSet ok = constraintsFor(nestedStores);
@@ -182,6 +182,40 @@ TEST(Constraints, EnclosingStoreIsNotSplittable)
     });
     const Program deep = b.build();
     EXPECT_FALSE(constraintsFor(deep).splittable[2]);
+}
+
+TEST(Constraints, EnclosingStoreForcesSpanAll)
+{
+    // Every block of a nested level reruns the enclosing bodies, so a
+    // Store in one would take effect once per block: the nested levels
+    // (here a foreach beside it and a map below that) must span all.
+    ProgramBuilder b("storeBeside");
+    Arr m = b.inF64("m");
+    Arr io = b.inOutF64("io");
+    Arr o = b.inOutF64("o");
+    Ex r = b.paramI64("R"), c = b.paramI64("C");
+    b.foreach(r, [&](Body &fn, Ex i) {
+        fn.store(io, i, io(i) + 1.0);
+        fn.foreach(c, [&](Body &body, Ex j) {
+            Arr w = body.map(Ex(4), [&](Body &, Ex k) { return m(j + k); });
+            body.store(o, i * c + j, w(Ex(0.0)));
+        });
+    });
+    const Program prog = b.build();
+    const ConstraintSet cs = constraintsFor(prog);
+    for (int level : {1, 2}) {
+        EXPECT_TRUE(cs.mustSpanAll[level]) << "L" << level;
+        EXPECT_FALSE(cs.splittable[level]) << "L" << level;
+        bool named = false;
+        for (const Constraint &con : cs.all) {
+            named |= con.kind == Constraint::Kind::HardSpanAll &&
+                     con.level == level &&
+                     con.reason == "a Store in an enclosing body would run "
+                                   "once per block of this level";
+        }
+        EXPECT_TRUE(named) << "L" << level;
+    }
+    EXPECT_FALSE(cs.mustSpanAll[0]);
 }
 
 TEST(Constraints, SeqLoopAroundReduceIsNotSplittable)

@@ -182,11 +182,11 @@ TEST(Autotune, NeverWorseThanScoreSelection)
     opts.topCandidates = 6;
     AutotuneResult tuned = autotune(*s.prog, gpu, args, base, opts);
 
-    EXPECT_GT(tuned.trials.size(), 1u);
+    EXPECT_GT(tuned.candidates.size(), 1u);
     EXPECT_GT(tuned.scoreChoiceMs, 0.0);
     EXPECT_LE(tuned.bestMs, tuned.scoreChoiceMs);
-    for (const auto &t : tuned.trials)
-        EXPECT_GE(t.measuredMs, tuned.bestMs);
+    for (const SweepPoint &t : tuned.candidates)
+        EXPECT_GE(t.exactMs, tuned.bestMs);
 
     // The returned spec is runnable and correct.
     std::vector<double> expect(R, 0.0);

@@ -135,7 +135,7 @@ TEST_F(PredictPruneTest, PrunedSweepMatchesFullSweepOnEveryDemoProgram)
         // never do worse than Algorithm 1 alone).
         ASSERT_FALSE(pruned.candidates.empty());
         EXPECT_TRUE(pruned.candidates[0].isScoreChoice);
-        EXPECT_TRUE(pruned.candidates[0].survived) << name;
+        EXPECT_FALSE(pruned.candidates[0].pruned) << name;
     }
 }
 
@@ -196,6 +196,37 @@ TEST_F(PredictPruneTest, HarvestRecordsSimulationsButNeverCacheHits)
     cachedCompileAndRun(gpu, *demo->prog, args, copts, eopts,
                         /*wantOutputs=*/false);
     EXPECT_EQ(rt.stats().samplesHarvested, afterSimulate);
+}
+
+TEST_F(PredictPruneTest, HarvestThroughCachedRunSeesTheCompileSizes)
+{
+    // cachedRun (launches, serve, nppc --run) has no CompileOptions; the
+    // spec carries the sizes it was compiled with, so the harvested
+    // features describe the real extents, not placeholder sizes.
+    Gpu gpu;
+    PredictRuntime::instance().setSampleDir(dir_);
+    std::string error;
+    std::unique_ptr<DemoProgram> demo = buildDemoProgram(
+        "sumrows", {{"rows", 128}, {"cols", 64}}, &error);
+    ASSERT_NE(demo, nullptr) << error;
+    Bindings args(*demo->prog);
+    demo->bind(args);
+    const CompileOptions copts = optionsFor(*demo);
+    const CompileResult compiled =
+        compileProgram(*demo->prog, gpu.config(), copts);
+    ExecOptions eopts;
+    eopts.metricsOnly = true;
+    cachedRun(gpu, compiled.spec, args, eopts,
+              EvalCache::specSeed(*demo->prog, copts, gpu.config()),
+              /*wantOutputs=*/false);
+    PredictRuntime::instance().setSampleDir("");
+
+    const std::vector<PredictSample> samples = loadPredictSamples(dir_);
+    ASSERT_EQ(samples.size(), 1u);
+    const PredictFeatures expected =
+        extractFeatures(*compiled.spec.prog, compiled.spec.mapping,
+                        gpu.config(), eopts, demo->params);
+    EXPECT_TRUE(samples[0].features.v == expected.v);
 }
 
 TEST_F(PredictPruneTest, StatsJsonCarriesThePruningCounters)

@@ -91,10 +91,10 @@ TEST_F(DynSizeServerTest, EvalReturnsConsolidationVerdict)
     const JsonValue *cons = resp.get("consolidation");
     ASSERT_NE(cons, nullptr) << "response lacks consolidation object";
     ASSERT_TRUE(cons->isObject());
-    ASSERT_NE(cons->get("verdict"), nullptr);
-    const std::string verdict = cons->get("verdict")->asString();
+    ASSERT_NE(cons->get("selected"), nullptr);
+    const std::string verdict = cons->get("selected")->asString();
     EXPECT_NE(verdict.find("consolidated"), std::string::npos) << verdict;
-    ASSERT_NE(cons->get("candidates"), nullptr);
+    ASSERT_NE(cons->get("points"), nullptr);
 
     // ...and the human-readable explanation names the sweep too.
     ASSERT_NE(resp.get("explanation"), nullptr);

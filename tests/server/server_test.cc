@@ -15,6 +15,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -264,12 +265,20 @@ TEST_F(ServerTest, DevicesFieldRunsTheFleetSweep)
     ASSERT_TRUE(resp.get("ok") && resp.get("ok")->asBool());
     ASSERT_NE(resp.get("devices"), nullptr);
     EXPECT_EQ(resp.get("devices")->asInt(), 4);
+    EXPECT_EQ(resp.get("protocol")->asInt(), kServeProtocol);
     const JsonValue *fleet = resp.get("fleet");
     ASSERT_NE(fleet, nullptr);
-    EXPECT_GT(fleet->get("devices")->asInt(), 1);
+    EXPECT_EQ(fleet->get("sweep")->asString(), "fleet");
+    const JsonValue *points = fleet->get("points");
+    ASSERT_NE(points, nullptr);
+    const int64_t best = fleet->get("best")->asInt();
+    ASSERT_GE(best, 0);
+    ASSERT_LT(best, static_cast<int64_t>(points->elements.size()));
+    const JsonValue &winner = points->elements[static_cast<size_t>(best)];
+    EXPECT_GT(winner.get("devices")->asInt(), 1);
     EXPECT_GT(fleet->get("speedup")->asNumber(), 1.0);
-    EXPECT_LT(fleet->get("fleet_ms")->asNumber(),
-              fleet->get("single_ms")->asNumber());
+    EXPECT_LT(fleet->get("best_ms")->asNumber(),
+              fleet->get("baseline_ms")->asNumber());
 
     // Requests without the field keep the pre-fleet response shape.
     const JsonValue flat = request(kSmallEval);
@@ -284,6 +293,42 @@ TEST_F(ServerTest, DevicesFieldRunsTheFleetSweep)
     EXPECT_FALSE(bad.get("ok")->asBool());
     EXPECT_NE(bad.get("error")->asString().find("devices"),
               std::string::npos);
+}
+
+/** The process's virtual size, in kB (VmSize in /proc/self/status). */
+long
+vmSizeKb()
+{
+    std::FILE *f = std::fopen("/proc/self/status", "r");
+    if (!f)
+        return -1;
+    char line[256];
+    long kb = -1;
+    while (std::fgets(line, sizeof line, f)) {
+        if (std::sscanf(line, "VmSize: %ld kB", &kb) == 1)
+            break;
+    }
+    std::fclose(f);
+    return kb;
+}
+
+TEST_F(ServerTest, FinishedConnectionsReturnTheirThreads)
+{
+    startServer();
+    ASSERT_EQ(request("{\"type\":\"ping\"}").get("type")->asString(),
+              "pong");
+    const long before = vmSizeKb();
+    ASSERT_GT(before, 0);
+    // Each connection's thread owns a stack of several MB; joined
+    // threads give theirs back, so sequential clients hold the process
+    // flat.
+    for (int i = 0; i < 300; i++) {
+        std::string response, error;
+        ASSERT_TRUE(serveRoundTrip(socket_, "{\"type\":\"ping\"}",
+                                   &response, &error))
+            << error;
+    }
+    EXPECT_LT(vmSizeKb() - before, 64L * 1024);
 }
 
 TEST_F(ServerTest, AcceptLoopSurvivesSignalsAndAbortedConnects)

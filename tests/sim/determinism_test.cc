@@ -332,11 +332,11 @@ TEST(Determinism, AutotuneSerialAndParallelAgree)
     EXPECT_EQ(s.best.mapping.hashValue(), p.best.mapping.hashValue());
     EXPECT_EQ(s.bestMs, p.bestMs);
     EXPECT_EQ(s.scoreChoiceMs, p.scoreChoiceMs);
-    ASSERT_EQ(s.trials.size(), p.trials.size());
-    for (size_t i = 0; i < s.trials.size(); i++) {
-        EXPECT_EQ(s.trials[i].decision.hashValue(),
-                  p.trials[i].decision.hashValue());
-        EXPECT_EQ(s.trials[i].measuredMs, p.trials[i].measuredMs);
+    ASSERT_EQ(s.candidates.size(), p.candidates.size());
+    for (size_t i = 0; i < s.candidates.size(); i++) {
+        EXPECT_EQ(s.candidates[i].copts.fixedMapping.hashValue(),
+                  p.candidates[i].copts.fixedMapping.hashValue());
+        EXPECT_EQ(s.candidates[i].exactMs, p.candidates[i].exactMs);
     }
 }
 

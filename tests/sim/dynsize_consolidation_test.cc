@@ -25,6 +25,7 @@
 #include "sim/evalcache.h"
 #include "sim/fleet.h"
 #include "sim/gpu.h"
+#include "support/strings.h"
 #include "support/rng.h"
 
 namespace npp {
@@ -272,16 +273,17 @@ TEST(DynSizeDifferential, SweepNamesWhyConsolidationWonOrLost)
     // Both granularities competed, and the selected verdict names the
     // outcome either way.
     EXPECT_EQ(choice.candidates.size(), 3u); // static + warp + block
-    EXPECT_FALSE(choice.verdict.empty());
-    EXPECT_NE(choice.verdict.find("consolidated"), std::string::npos);
+    EXPECT_FALSE(choice.selected.empty());
+    EXPECT_NE(choice.selected.find("consolidated"), std::string::npos);
 
-    const std::string text = formatConsolidationChoice(choice);
+    const std::string text = sweepText(choice);
     EXPECT_NE(text.find("consolidation sweep"), std::string::npos);
     EXPECT_NE(text.find("selected:"), std::string::npos);
 
-    const std::string json = consolidationChoiceJson(choice);
-    EXPECT_NE(json.find("\"consolidated\":"), std::string::npos);
-    EXPECT_NE(json.find("\"candidates\":"), std::string::npos);
+    const std::string json = sweepJson(choice);
+    EXPECT_NE(json.find("\"selected\":\"" + jsonEscape(choice.selected)),
+              std::string::npos);
+    EXPECT_NE(json.find("\"points\":"), std::string::npos);
 
     // The explain surfaces thread the note and the JSON through.
     SearchExplanation ex;
@@ -315,9 +317,9 @@ TEST(DynSizeDifferential, SweepNamesWhyConsolidationWonOrLost)
     const ConsolidationChoice staticChoice = searchConsolidation(
         gpu, *staticProg, staticArgs, base, eopts);
     EXPECT_FALSE(staticChoice.consolidated);
-    EXPECT_NE(staticChoice.verdict.find("no runtime-sized inner domain"),
+    EXPECT_NE(staticChoice.selected.find("no runtime-sized inner domain"),
               std::string::npos)
-        << staticChoice.verdict;
+        << staticChoice.selected;
 }
 
 //
@@ -353,23 +355,22 @@ TEST(DynSizeDifferential, FleetSweepNamesRuntimeSizedOuter)
 
     EXPECT_EQ(choice.deviceCount, 1);
     bool namedVerdict = false;
-    for (const FleetCandidate &c : choice.candidates) {
+    for (const SweepPoint &c : choice.candidates) {
         if (c.deviceCount <= 1)
             continue;
-        EXPECT_FALSE(c.feasible);
-        EXPECT_EQ(c.verdict.find("empty outer domain"),
+        EXPECT_FALSE(c.filtered.empty());
+        EXPECT_EQ(c.filtered.find("empty outer domain"),
                   std::string::npos)
-            << c.verdict;
-        if (c.verdict.find("not known at launch") != std::string::npos)
+            << c.filtered;
+        if (c.filtered.find("not known at launch") != std::string::npos)
             namedVerdict = true;
     }
     EXPECT_TRUE(namedVerdict)
         << "no N>1 candidate carried the runtime-size verdict:\n"
-        << formatFleetChoice(choice);
-    EXPECT_NE(fleetChoiceJson(choice).find("not known at launch"),
+        << sweepText(choice);
+    EXPECT_NE(sweepJson(choice).find("not known at launch"),
               std::string::npos);
-    EXPECT_NE(formatFleetChoice(choice).find("hard-filtered"),
-              std::string::npos);
+    EXPECT_NE(sweepText(choice).find("hard-filtered"), std::string::npos);
 }
 
 //

@@ -326,7 +326,7 @@ INSTANTIATE_TEST_SUITE_P(
 //
 
 /** Run `c` under a grid of two-level fixed mappings (inner level span
- *  all or Split(3)); returns how many were feasible. */
+ *  all, Split(3) or span(1)); returns how many were feasible. */
 int
 sweepFixedMappings(const Case &c)
 {
@@ -340,13 +340,12 @@ sweepFixedMappings(const Case &c)
     for (int outerDim : {0, 1}) {
         for (int64_t outerBs : {1, 8, 64}) {
             for (int64_t innerBs : {1, 32, 128}) {
-                for (int64_t split : {0, 3}) {
+                for (SpanType inner : {SpanType::all(), SpanType::split(3),
+                                       SpanType::one()}) {
                     MappingDecision d;
                     d.levels.resize(2);
                     d.levels[0] = {outerDim, outerBs, SpanType::one()};
-                    d.levels[1] = {outerDim == 0 ? 1 : 0, innerBs,
-                                   split ? SpanType::split(split)
-                                         : SpanType::all()};
+                    d.levels[1] = {outerDim == 0 ? 1 : 0, innerBs, inner};
                     if (!search.feasible(d, cs))
                         continue;
                     tested++;
@@ -460,6 +459,43 @@ TEST(FixedMappingSweep, EnclosingStoreRefusesSplit)
     };
     c.outputs = {{out, R}, {io, R}};
     EXPECT_GT(sweepFixedMappings(c), 8);
+}
+
+/** A Store in the enclosing body beside a nested foreach: every block
+ *  of the inner level reran it (io[0] read 3 for 1 over a 70-wide level
+ *  in 32-lane blocks under span(1)), so the inner level must span all. */
+TEST(FixedMappingSweep, EnclosingStoreForcesInnerSpanAll)
+{
+    const int64_t R = 4, C = 70;
+    ProgramBuilder b("storeBeside");
+    Arr m = b.inF64("m");
+    Arr io = b.inOutF64("io");
+    Arr o = b.inOutF64("o");
+    Ex r = b.paramI64("R"), cc = b.paramI64("C");
+    b.foreach(r, [&](Body &fn, Ex i) {
+        fn.store(io, i, io(i) + 1.0);
+        fn.foreach(cc, [&](Body &body, Ex j) {
+            body.store(o, i * cc + j, m(i * cc + j) * 2.0);
+        });
+    });
+    Case c;
+    c.name = "storeBeside";
+    c.prog = std::make_shared<Program>(b.build());
+    c.bindInputs = [=](Bindings &args) {
+        args.scalar(r, static_cast<double>(R));
+        args.scalar(cc, static_cast<double>(C));
+        args.array(m, sharedMatrix(R * C));
+    };
+    c.outputs = {{io, R}, {o, R * C}};
+    EXPECT_GT(sweepFixedMappings(c), 4);
+
+    MappingDecision d;
+    d.levels = {{1, 1, SpanType::one()}, {0, 32, SpanType::one()}};
+    AnalysisEnv env;
+    env.prog = c.prog.get();
+    EXPECT_FALSE(MappingSearch(teslaK20c())
+                     .feasible(d, buildConstraints(*c.prog, env,
+                                                   teslaK20c())));
 }
 
 /** A reduce inside a SeqLoop of the enclosing body: its split partials

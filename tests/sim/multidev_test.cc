@@ -176,21 +176,20 @@ TEST(MultiDev, TooSmallDomainFallsBackToOneDevice)
     EXPECT_EQ(choice.deviceCount, 1);
     ASSERT_GE(choice.candidates.size(), 2u);
     bool sawFilter = false;
-    for (const FleetCandidate &c : choice.candidates) {
+    for (const SweepPoint &c : choice.candidates) {
         if (c.deviceCount == 1) {
-            EXPECT_TRUE(c.feasible);
+            EXPECT_TRUE(c.filtered.empty());
             continue;
         }
-        EXPECT_FALSE(c.feasible);
-        EXPECT_NE(c.verdict.find("outer domain too small"),
+        EXPECT_FALSE(c.filtered.empty());
+        EXPECT_NE(c.filtered.find("outer domain too small"),
                   std::string::npos);
         sawFilter = true;
     }
     EXPECT_TRUE(sawFilter);
     // The verdict must surface in both renderings of the sweep.
-    EXPECT_NE(formatFleetChoice(choice).find("hard-filtered"),
-              std::string::npos);
-    EXPECT_NE(fleetChoiceJson(choice).find("outer domain too small"),
+    EXPECT_NE(sweepText(choice).find("hard-filtered"), std::string::npos);
+    EXPECT_NE(sweepJson(choice).find("outer domain too small"),
               std::string::npos);
 }
 
@@ -208,7 +207,7 @@ TEST(MultiDev, SearchPicksAProfitableFleet)
     // The single-device candidate anchors the sweep.
     ASSERT_FALSE(choice.candidates.empty());
     EXPECT_EQ(choice.candidates[0].deviceCount, 1);
-    EXPECT_DOUBLE_EQ(choice.candidates[0].fleetMs, choice.singleMs);
+    EXPECT_DOUBLE_EQ(choice.candidates[0].exactMs, choice.singleMs);
 }
 
 TEST(MultiDev, ShardBoundsJoinTheExecHash)

@@ -12,11 +12,12 @@
 #   tools/check.sh all          # all four builds, in order
 #   tools/check.sh rows [BASE]  # row identity: build BASE (default HEAD)
 #                               # from `git archive` into build-rows/,
-#                               # then diff the fig12/13/14 --json rows
-#                               # and every demo program's nppc --stats
-#                               # export against the working tree, and
-#                               # the working tree's disk-warm fig12/14
-#                               # rows against its cold ones
+#                               # then diff the fig12/13/14 --json rows,
+#                               # every demo program's nppc --stats
+#                               # export and its --predict mapping
+#                               # against the working tree, and the
+#                               # working tree's disk-warm fig12/14 rows
+#                               # against its cold ones
 #
 # Every ctest invocation runs the full suite. The labels pick out the
 # suites worth a quick focused rerun, and the `label` job runs them in
@@ -31,6 +32,8 @@
 #   dynsize       runtime-sized domains and consolidation differentials
 #   predict       learned cost model: featurizer determinism, hostile
 #                 model files, pruned-vs-full sweep differential
+#   sweep         the sweep engine: every sweep's winner against goldens,
+#                 the section renderers, one bindings digest per call
 # e.g. `tools/check.sh label 'coalesce|differential'`.
 #
 # The `rows` job proves a change leaves every result byte-identical: the
@@ -38,7 +41,10 @@
 # seven demo programs, plus spmv under Strategy::Consolidate so the
 # consolidation fields are non-zero, and three shapes whose searched
 # mapping is Split(k) (sumrows and weightedrows at 16x200000, sumcols
-# at 200000x16) so the combiner and its replay are covered. Both trees
+# at 200000x16) so the combiner and its replay are covered. It also
+# diffs the `== Mapping` block of `nppc <prog> --predict --mapping`
+# for the seven programs: with no model loaded that is the winner of
+# the full 48-candidate predictive sweep. Both trees
 # run with every NPP_* variable unset, so neither can replay the other's
 # disk-cache entries. It then runs fig12 and fig14 twice in the working
 # tree against one fresh NPP_EVAL_CACHE_DIR and diffs the second run's
@@ -116,6 +122,8 @@ rows)
             mandelbrot spmv; do
             "${bin}/tools/nppc" "${prog}" --run \
                 --stats="${out}/${prog}.json" >/dev/null
+            "${bin}/tools/nppc" "${prog}" --predict --mapping |
+                sed -n '/^== Mapping/,/^$/p' >"${out}/${prog}-predict.txt"
         done
         "${bin}/tools/nppc" spmv --strategy=consolidate --run \
             --stats="${out}/spmv-consolidate.json" >/dev/null

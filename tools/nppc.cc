@@ -384,8 +384,8 @@ main(int argc, char **argv)
     CompileResult compiled =
         compileProgram(*demo->prog, gpu.config(), copts);
     if (predict) {
-        compiled.explanation.predictNote = psweep.note();
-        compiled.explanation.predictJson = psweep.toJson();
+        compiled.explanation.predictNote = sweepText(psweep);
+        compiled.explanation.predictJson = sweepJson(psweep);
         if (!(compiled.spec.mapping == psweep.best)) {
             // The sweep beat the score-based selection: recompile the
             // rest of the pipeline against the empirical winner.
@@ -414,11 +414,8 @@ main(int argc, char **argv)
         fleetOpts.metricsOnly = true;
         fleetChoice = searchFleet(gpu, compiled.spec, fleetArgs,
                                   fleetK20c(devices), fleetOpts, specSeed);
-        compiled.spec.fleet.deviceCount = fleetChoice.deviceCount;
-        compiled.spec.fleet.splitPoint = fleetChoice.splitPoint;
-        compiled.spec.fleet.verdict = fleetChoice.best.plan.verdict;
-        compiled.explanation.fleetNote = formatFleetChoice(fleetChoice);
-        compiled.explanation.fleetJson = fleetChoiceJson(fleetChoice);
+        compiled.explanation.fleetNote = sweepText(fleetChoice);
+        compiled.explanation.fleetJson = sweepJson(fleetChoice);
     }
 
     // Runtime-sized inner domains: sweep the consolidation candidates
@@ -431,10 +428,8 @@ main(int argc, char **argv)
         consOpts.metricsOnly = true;
         const ConsolidationChoice consChoice = searchConsolidation(
             gpu, *demo->prog, consArgs, copts, consOpts);
-        compiled.explanation.consolidationNote =
-            formatConsolidationChoice(consChoice);
-        compiled.explanation.consolidationJson =
-            consolidationChoiceJson(consChoice);
+        compiled.explanation.consolidationNote = sweepText(consChoice);
+        compiled.explanation.consolidationJson = sweepJson(consChoice);
     }
 
     if (showIr)
@@ -480,10 +475,10 @@ main(int argc, char **argv)
         // --explain prints the sweep inside the decision report; give
         // everyone else a section of their own.
         std::printf("== Multi-device ==\n%s\n",
-                    formatFleetChoice(fleetChoice).c_str());
+                    sweepText(fleetChoice).c_str());
     }
     if (predict && !explain)
-        std::printf("== Predictive sweep ==\n%s\n", psweep.note().c_str());
+        std::printf("== Predictive sweep ==\n%s\n", sweepText(psweep).c_str());
     if (showCuda)
         std::printf("== CUDA ==\n%s\n", compiled.spec.cudaSource.c_str());
     if (doRun) {
@@ -512,7 +507,7 @@ main(int argc, char **argv)
                 ",\"eval_cache\":" + EvalCache::instance().stats().toJson() +
                 ",\"predict\":" + predictStatsJson() +
                 (devices > 1
-                     ? ",\"fleet\":" + fleetChoiceJson(fleetChoice)
+                     ? ",\"fleet\":" + sweepJson(fleetChoice)
                      : std::string()) +
                 "}\n";
             FILE *f = std::fopen(statsPath.c_str(), "wb");
