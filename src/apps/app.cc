@@ -1,5 +1,6 @@
 #include "apps/app.h"
 
+#include "runtime/parallel_launch.h"
 #include "sim/evalcache.h"
 #include "support/logging.h"
 #include "support/trace.h"
@@ -50,13 +51,11 @@ Runner::launch(const Program &prog, const Bindings &args)
         // same inputs again replays the stored outputs and counts.
         if (!compiled.seeded) {
             compiled.specSeed = EvalCache::referenceSeed(prog);
+            compiled.rootRefusal = rootParallelRefusal(prog);
             compiled.seeded = true;
         }
-        const WorkCounts wc = cachedReference(prog, args, compiled.specSeed);
-        work.computeOps += wc.computeOps;
-        work.bytesRead += wc.bytesRead;
-        work.bytesWritten += wc.bytesWritten;
-        work.iterations += wc.iterations;
+        work += cachedReference(prog, args, compiled.specSeed, nullptr,
+                                &compiled.rootRefusal);
         return 0.0;
     }
     if (!compiled.result) {

@@ -73,6 +73,8 @@ class Runner
          *  key the process-wide EvalCache. */
         uint64_t specSeed = 0;
         bool seeded = false; //!< reference mode: specSeed computed
+        /** Reference mode: rootParallelRefusal of the program. */
+        std::string rootRefusal;
     };
 
     const Gpu *gpu_ = nullptr;

@@ -6,6 +6,7 @@
 #include "ir/traverse.h"
 #include "opt/fusion.h"
 #include "opt/smem.h"
+#include "sim/executor.h"
 #include "support/logging.h"
 #include "support/strings.h"
 #include "support/trace.h"
@@ -217,6 +218,7 @@ compileProgram(const Program &sourceProg, const DeviceConfig &device,
     }
 
     spec.cudaSource = emitCuda(spec);
+    spec.parallelRefusal = blockParallelRefusal(spec);
     return result;
 }
 

@@ -9,6 +9,7 @@
 #ifndef NPP_CODEGEN_PLAN_H
 #define NPP_CODEGEN_PLAN_H
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -104,6 +105,10 @@ struct KernelSpec
      *  simulator runs queue-build + consumption phases; when disabled,
      *  verdict names why (eligibility reason). */
     ConsolidationPlan consolidation;
+
+    /** blockParallelRefusal(*this) (sim/executor.h), cached at compile
+     *  time; unset, the executor computes it per launch. */
+    std::optional<std::string> parallelRefusal;
 
     /** Find the plan for a local array var (nullptr if none). */
     const LocalArrayPlan *localPlan(int varId) const;

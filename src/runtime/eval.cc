@@ -1,5 +1,6 @@
 #include "runtime/eval.h"
 
+#include "runtime/parallel_launch.h"
 #include "support/logging.h"
 
 namespace npp {
@@ -36,6 +37,8 @@ storeArray(int64_t site, int arrayVar, int64_t logical, double value,
         ctx.probe->onAccess(site, arrayVar, slot.traceAddr(logical), true,
                             slot.elemBytes);
     }
+    if (ctx.owners && !ctx.owners->claim(arrayVar, phys, ctx.worker))
+        return;
     slot.data[phys] = value;
 }
 

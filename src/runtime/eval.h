@@ -71,6 +71,8 @@ class MemProbe
                           bool isWrite, int bytes) = 0;
 };
 
+class OwnerWords;
+
 /**
  * Mutable evaluation state: one scalar slot and one array slot per program
  * variable. Scalar slots hold params, let-locals, and loop indices alike.
@@ -90,6 +92,12 @@ struct EvalCtx
      *  offset/stride fields (the ~20% gap vs hand-written raw pointers
      *  the paper reports on Nearest Neighbor); manual kernels use 1. */
     uint64_t accessOpCost = 2;
+
+    /** Set while this context is one of several workers of one launch:
+     *  every store into a written array first claims its element for
+     *  `worker` (runtime/parallel_launch.h). */
+    OwnerWords *owners = nullptr;
+    uint32_t worker = 0;
 
     explicit EvalCtx(const Program &program)
         : prog(&program),
@@ -117,7 +125,9 @@ evalExpr(const ExprRef &expr, EvalCtx &ctx)
 /** Bounds-checked array read through a slot, reporting to the probe. */
 double loadArray(int64_t site, int arrayVar, int64_t logical, EvalCtx &ctx);
 
-/** Bounds-checked array write through a slot, reporting to the probe. */
+/** Bounds-checked array write through a slot, reporting to the probe.
+ *  On a parallel worker, a store to an element another worker owns is
+ *  skipped (the launch reruns serially). */
 void storeArray(int64_t site, int arrayVar, int64_t logical, double value,
                 EvalCtx &ctx);
 

@@ -1,8 +1,11 @@
 #include "runtime/reference.h"
 
+#include <memory>
 #include <unordered_map>
 
+#include "runtime/parallel_launch.h"
 #include "runtime/walk.h"
+#include "support/parallel.h"
 
 namespace npp {
 
@@ -60,10 +63,42 @@ struct ReferenceHooks : WalkHooks
     }
 };
 
+/**
+ * One worker's interpreter: its own context seeded from the bindings,
+ * byte probe, local arena and counts. The serial run is one worker over
+ * the whole root range; a parallel run gives each worker the chunks it
+ * claims.
+ */
+struct RootWorker
+{
+    EvalCtx ctx;
+    CountingProbe probe;
+    WorkCounts counts;
+    ReferenceHooks hooks{{}, ctx, counts, {}};
+
+    RootWorker(const Program &prog, const Bindings &args) : ctx(prog)
+    {
+        args.seed(ctx);
+        ctx.probe = &probe;
+    }
+
+    /** Counts so far, the context's ops and the probe's bytes included. */
+    WorkCounts
+    totals() const
+    {
+        WorkCounts c = counts;
+        c.computeOps = ctx.opCount;
+        c.bytesRead = probe.bytesRead;
+        c.bytesWritten = probe.bytesWritten;
+        return c;
+    }
+};
+
 } // namespace
 
 WorkCounts
-ReferenceInterp::run(const Program &prog, const Bindings &args)
+ReferenceInterp::run(const Program &prog, const Bindings &args,
+                     const std::string *rootRefusal)
 {
     // Fail structurally-invalid programs (e.g. a nested filter missing
     // its count scalar) with validate()'s diagnostic up front instead of
@@ -71,31 +106,60 @@ ReferenceInterp::run(const Program &prog, const Bindings &args)
     // validated and revalidation is cheap and idempotent.
     prog.validate();
 
-    WorkCounts counts;
-    CountingProbe probe;
-    EvalCtx ctx(prog);
-    args.seed(ctx);
-    ctx.probe = &probe;
-
-    ReferenceHooks hooks{{}, ctx, counts, {}};
+    RootWorker primary(prog, args);
     const Pattern &root = prog.root();
     const int out = prog.rootOutput();
-    const int64_t n = asIndex(evalExpr(root.size, ctx));
-    if (root.kind == PatternKind::GroupBy)
-        seedGroupBy(root, out, ctx);
-    int64_t kept = 0;
-    const double acc = walkRange(root, out, 0, n, kept, ctx, hooks);
-    if (root.kind == PatternKind::Reduce)
-        storeArray(root.site, out, 0, acc, ctx);
-    if (root.kind == PatternKind::Filter) {
-        storeArray(root.site, prog.countOutput(), 0,
-                   static_cast<double>(kept), ctx);
+    const int64_t n = asIndex(evalExpr(root.size, primary.ctx));
+
+    std::string why =
+        rootRefusal ? *rootRefusal : rootParallelRefusal(prog);
+    if (why.empty())
+        why = storageAliasRefusal(prog, primary.ctx.arrays);
+    const int workers =
+        why.empty() ? launchWorkers(n, "root iterations", why) : 1;
+    if (workers > 1) {
+        // R1 leaves only roots whose iterations fold nothing (Map,
+        // ZipWith, Foreach), so the chunks' counts simply add up.
+        OwnerWords owners(prog, primary.ctx.arrays);
+        std::vector<std::unique_ptr<RootWorker>> crew(workers);
+        parallelChunks(n, workers, [&](int w, int64_t lo, int64_t hi) {
+            std::unique_ptr<RootWorker> &rw = crew[w];
+            if (!rw) {
+                rw = std::make_unique<RootWorker>(prog, args);
+                rw->ctx.owners = &owners;
+                rw->ctx.worker = static_cast<uint32_t>(w) + 1;
+            }
+            int64_t unused = 0;
+            walkRange(root, out, lo, hi, unused, rw->ctx, rw->hooks);
+        });
+        if (!owners.conflicted()) {
+            traceLaunchOutcome("runtime", LaunchOutcome::Parallel, prog,
+                               {});
+            WorkCounts sum = primary.totals();
+            for (const auto &rw : crew) {
+                if (rw)
+                    sum += rw->totals();
+            }
+            return sum;
+        }
+        why = "two root iterations stored to one element";
+        traceLaunchOutcome("runtime", LaunchOutcome::Rerun, prog, why);
+    } else {
+        traceLaunchOutcome("runtime", LaunchOutcome::Serial, prog, why);
     }
 
-    counts.computeOps = ctx.opCount;
-    counts.bytesRead = probe.bytesRead;
-    counts.bytesWritten = probe.bytesWritten;
-    return counts;
+    if (root.kind == PatternKind::GroupBy)
+        seedGroupBy(root, out, primary.ctx);
+    int64_t kept = 0;
+    const double acc =
+        walkRange(root, out, 0, n, kept, primary.ctx, primary.hooks);
+    if (root.kind == PatternKind::Reduce)
+        storeArray(root.site, out, 0, acc, primary.ctx);
+    if (root.kind == PatternKind::Filter) {
+        storeArray(root.site, prog.countOutput(), 0,
+                   static_cast<double>(kept), primary.ctx);
+    }
+    return primary.totals();
 }
 
 } // namespace npp

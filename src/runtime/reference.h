@@ -9,6 +9,8 @@
 #ifndef NPP_RUNTIME_REFERENCE_H
 #define NPP_RUNTIME_REFERENCE_H
 
+#include <string>
+
 #include "runtime/binding.h"
 
 namespace npp {
@@ -20,17 +22,32 @@ struct WorkCounts
     uint64_t bytesRead = 0;   //!< bytes loaded from program arrays
     uint64_t bytesWritten = 0;
     uint64_t iterations = 0;  //!< total pattern iterations executed
+
+    WorkCounts &
+    operator+=(const WorkCounts &o)
+    {
+        computeOps += o.computeOps;
+        bytesRead += o.bytesRead;
+        bytesWritten += o.bytesWritten;
+        iterations += o.iterations;
+        return *this;
+    }
 };
 
 /**
- * Runs programs sequentially. Stateless between runs apart from reusable
- * local-array storage.
+ * Runs programs with the sequential semantics. Stateless between runs.
+ * A root whose iterations are independent (runtime/parallel_launch.h)
+ * runs in contiguous chunks on the task pool's workers; its outputs and
+ * counts equal the serial loop's exactly.
  */
 class ReferenceInterp
 {
   public:
-    /** Execute the program with the given bindings; returns work counts. */
-    WorkCounts run(const Program &prog, const Bindings &args);
+    /** Execute the program with the given bindings; returns work counts.
+     *  `rootRefusal`, when given, is rootParallelRefusal(prog) cached by
+     *  the caller; otherwise it is computed here. */
+    WorkCounts run(const Program &prog, const Bindings &args,
+                   const std::string *rootRefusal = nullptr);
 };
 
 } // namespace npp

@@ -1076,14 +1076,15 @@ cachedRun(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
 
 WorkCounts
 cachedReference(const Program &prog, const Bindings &args,
-                uint64_t referenceSeed, EvalTier *tierOut)
+                uint64_t referenceSeed, EvalTier *tierOut,
+                const std::string *rootRefusal)
 {
     EvalCache &cache = EvalCache::instance();
     if (tierOut)
         *tierOut = EvalTier::Simulated;
     const auto run = [&] {
         NPP_TRACE_SCOPE("runtime.reference");
-        return ReferenceInterp().run(prog, args);
+        return ReferenceInterp().run(prog, args, rootRefusal);
     };
     if (!cache.enabled())
         return run();

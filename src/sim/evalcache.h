@@ -300,13 +300,15 @@ SimReport cachedRun(const Gpu &gpu, const KernelSpec &spec,
 /**
  * Memoized ReferenceInterp::run. `referenceSeed` is
  * EvalCache::referenceSeed(prog), computed once per program by the
- * caller. A miss runs the interpreter (inside a `runtime.reference`
- * span) and stores its work counts and outputs; a hit copies the
- * outputs into `args` and returns the stored counts.
+ * caller, and `rootRefusal` (optional) its cached rootParallelRefusal.
+ * A miss runs the interpreter (inside a `runtime.reference` span) and
+ * stores its work counts and outputs; a hit copies the outputs into
+ * `args` and returns the stored counts.
  */
 WorkCounts cachedReference(const Program &prog, const Bindings &args,
                            uint64_t referenceSeed,
-                           EvalTier *tierOut = nullptr);
+                           EvalTier *tierOut = nullptr,
+                           const std::string *rootRefusal = nullptr);
 
 } // namespace npp
 

@@ -1,15 +1,20 @@
 #include "sim/executor.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "ir/traverse.h"
+#include "runtime/parallel_launch.h"
 #include "runtime/walk.h"
 #include "sim/classify.h"
 #include "sim/coalesce.h"
 #include "support/logging.h"
+#include "support/parallel.h"
 #include "support/stats.h"
 #include "support/strings.h"
 #include "support/trace.h"
@@ -75,39 +80,35 @@ class DeviceExecutor
         }
     }
 
+    /** Block worker `worker` (from 1) of `primary`'s launch: prepared
+     *  the same way, over a copy of the primary's context (so it sees
+     *  the same bound and privatized storage) with its own probe, stats
+     *  and scratch, every store claimed through `owners`. */
+    DeviceExecutor(const DeviceExecutor &primary, OwnerWords &owners,
+                   uint32_t worker)
+        : spec(primary.spec),
+          prog(primary.prog),
+          device(primary.device),
+          options(primary.options),
+          ctx(primary.ctx),
+          probe(device, stats),
+          prefetchSiteIds(primary.prefetchSiteIds)
+    {
+        probe.prefetchedSites =
+            prefetchSiteIds.empty() ? nullptr : &prefetchSiteIds;
+        ctx.probe = &probe;
+        ctx.owners = &owners;
+        ctx.worker = worker;
+        prepareLaunch();
+    }
+
     KernelStats
     run()
     {
-        resolveLevels();
-        geom = makeGeometry(spec.mapping, levelSizes);
-        prepareWarpShape();
-        prepareLocals();
-
-        // Trace-site ids are dense pre-order integers, so the probe can
-        // direct-index all per-(site, tile, lane) state for the launch.
-        numSites = maxTraceSite(prog.root()) + 1;
-        probe.configure(numSites, tilesPerBlock, prog.numVars());
-
+        prepareLaunch();
         stats.totalBlocks = geom.totalBlocks;
         stats.threadsPerBlock = geom.threadsPerBlock;
         stats.sharedMemPerBlock = spec.sharedMemPerBlock;
-
-        // Line-reuse is only effective while every resident thread can
-        // keep one cache line live per access stream.
-        {
-            const int64_t tpb = std::max<int64_t>(geom.threadsPerBlock, 1);
-            const int64_t blocksPerSM = std::max<int64_t>(
-                1, std::min<int64_t>(device.maxBlocksPerSM,
-                                     device.maxThreadsPerSM / tpb));
-            const int64_t activeSMs = std::max<int64_t>(
-                1, std::min<int64_t>(device.numSMs, geom.totalBlocks));
-            const int64_t residentPerSM =
-                std::min(blocksPerSM, ceilDiv(geom.totalBlocks, activeSMs)) *
-                tpb;
-            probe.lineReuse =
-                residentPerSM * device.transactionBytes <=
-                device.l1CacheBytes;
-        }
 
         // GroupBy seeds its key domain with the combiner identity (the
         // generated code memsets / initializes the output first).
@@ -121,11 +122,6 @@ class DeviceExecutor
             std::max<int64_t>(1, ceilDiv(geom.totalBlocks,
                                          options.maxSampledBlocks));
         int64_t measured = 0;
-
-        if (options.siteStats) {
-            siteTrafficDense.assign(numSites, SiteTraffic{});
-            probe.siteTraffic = &siteTrafficDense;
-        }
 
         // Block-equivalence classing: only legal when outputs need not
         // be materialized (skipped blocks never run their stores), and
@@ -182,10 +178,13 @@ class DeviceExecutor
             }
         }
         if (!classed) {
-            if (spec.consolidation.enabled)
+            if (spec.consolidation.enabled) {
+                traceLaunchOutcome("sim", LaunchOutcome::Serial, prog,
+                                   "R2: consolidated spec");
                 runBlocksConsolidated(sampleStride, measured);
-            else
+            } else {
                 runBlocksExact(sampleStride, measured);
+            }
         }
         stats.classReason = classed ? std::string() : classReason;
 
@@ -243,15 +242,159 @@ class DeviceExecutor
         settleDivergence();
     }
 
+    /** Simulate blocks [lo, hi) in increasing order: the whole grid on
+     *  a serial run, one claimed chunk on a block worker. */
     void
-    runBlocksExact(int64_t sampleStride, int64_t &measured)
+    runBlockRange(int64_t lo, int64_t hi, int64_t sampleStride,
+                  int64_t &measured)
     {
-        for (int64_t block = 0; block < geom.totalBlocks; block++) {
+        for (int64_t block = lo; block < hi; block++) {
             const bool measure = block % sampleStride == 0;
             if (measure)
                 measured++;
             simulateBlock(block, measure);
         }
+    }
+
+    /** Exact block loop: every block simulated, on several block
+     *  workers when the launch passes R1-R5 (runtime/parallel_launch.h)
+     *  and serially otherwise, with the serial loop's results either
+     *  way. */
+    void
+    runBlocksExact(int64_t sampleStride, int64_t &measured)
+    {
+        std::string why = launchParallelRefusal();
+        const int workers =
+            why.empty() ? launchWorkers(geom.totalBlocks, "blocks", why)
+                        : 1;
+        if (workers > 1) {
+            why = runBlocksParallel(workers, sampleStride, measured);
+            if (why.empty()) {
+                traceLaunchOutcome("sim", LaunchOutcome::Parallel, prog,
+                                   {});
+                return;
+            }
+            traceLaunchOutcome("sim", LaunchOutcome::Rerun, prog, why);
+        } else {
+            traceLaunchOutcome("sim", LaunchOutcome::Serial, prog, why);
+        }
+        runBlockRange(0, geom.totalBlocks, sampleStride, measured);
+    }
+
+    /** R1-R3 (cached with the spec when it was compiled), R3's storage
+     *  aliasing on this launch's bindings, and R4. */
+    std::string
+    launchParallelRefusal() const
+    {
+        std::string why = spec.parallelRefusal
+                              ? *spec.parallelRefusal
+                              : blockParallelRefusal(spec);
+        if (why.empty())
+            why = storageAliasRefusal(prog, ctx.arrays);
+        for (size_t lv = 0; why.empty() && lv < geom.levels.size(); lv++) {
+            const int64_t bs = geom.levels[lv].blockSize;
+            if (!std::has_single_bit(static_cast<uint64_t>(bs)))
+                why = fmt("R4: level {} block size is not a power of two",
+                          lv);
+        }
+        return why;
+    }
+
+    /** Every increment R4 admits is a multiple of 2^-15, and a double
+     *  sum of such terms is exact below 2^38, so sums folded in any
+     *  order equal the serial loop's bit for bit. */
+    static constexpr double kExactBound = 274877906944.0; // 2^38
+
+    template <class S>
+    static bool
+    belowExactBound(const S &s)
+    {
+        bool below = true;
+        visitFields<S>([&](auto row) {
+            if constexpr (row.perBlock)
+                below = below && std::abs(static_cast<double>(
+                                     s.*row.member)) < kExactBound;
+        });
+        return below;
+    }
+
+    template <class S>
+    static void
+    addPerBlock(S &into, const S &from)
+    {
+        visitFields<S>([&](auto row) {
+            if constexpr (row.perBlock)
+                into.*row.member += from.*row.member;
+        });
+    }
+
+    /**
+     * Simulate the grid on `workers` block workers, each over the
+     * contiguous chunks it claims, then fold their per-block sums (the
+     * perBlock stats and site fields, the compaction accumulators and
+     * the measured-block count) into this executor; the finish steps
+     * then run once, as after the serial loop. Returns empty on
+     * success, or why the launch must rerun serially: a store found its
+     * element owned by another worker, or a folded sum reached the
+     * exactness bound. Nothing is folded then, and since no written
+     * array is read (R3), the rerun writes the same elements with the
+     * same values whatever this pass left in them.
+     */
+    std::string
+    runBlocksParallel(int workers, int64_t sampleStride, int64_t &measured)
+    {
+        OwnerWords owners(prog, ctx.arrays);
+        std::vector<std::unique_ptr<DeviceExecutor>> crew(workers);
+        std::vector<int64_t> crewMeasured(workers, 0);
+        parallelChunks(geom.totalBlocks, workers,
+                       [&](int w, int64_t lo, int64_t hi) {
+                           std::unique_ptr<DeviceExecutor> &ex = crew[w];
+                           if (!ex) {
+                               ex = std::make_unique<DeviceExecutor>(
+                                   *this, owners,
+                                   static_cast<uint32_t>(w) + 1);
+                           }
+                           ex->runBlockRange(lo, hi, sampleStride,
+                                             crewMeasured[w]);
+                       });
+        if (owners.conflicted())
+            return "two blocks stored to one element";
+
+        KernelStats sum;
+        std::vector<SiteTraffic> sites(siteTrafficDense.size());
+        int64_t elems = 0, kept = 0, chunks = 0, blocks = 0;
+        bool exact = true;
+        for (int w = 0; w < workers; w++) {
+            if (!crew[w])
+                continue;
+            const DeviceExecutor &ex = *crew[w];
+            exact = exact && belowExactBound(ex.stats);
+            addPerBlock(sum, ex.stats);
+            for (size_t i = 0; i < sites.size(); i++) {
+                exact = exact && belowExactBound(ex.siteTrafficDense[i]);
+                addPerBlock(sites[i], ex.siteTrafficDense[i]);
+            }
+            elems += ex.compactionElems;
+            kept += ex.compactionKept;
+            chunks += ex.compactionChunks;
+            blocks += crewMeasured[w];
+        }
+        exact = exact && belowExactBound(sum);
+        for (const SiteTraffic &st : sites)
+            exact = exact && belowExactBound(st);
+        if (!exact)
+            return "a folded report sum reached 2^38";
+
+        addPerBlock(stats, sum);
+        for (size_t i = 0; i < sites.size(); i++) {
+            addPerBlock(siteTrafficDense[i], sites[i]);
+            siteTrafficDense[i].site = static_cast<int64_t>(i);
+        }
+        compactionElems += elems;
+        compactionKept += kept;
+        compactionChunks += chunks;
+        measured += blocks;
+        return {};
     }
 
     /** Consolidated block loop (Strategy::Consolidate): each block is
@@ -530,12 +673,8 @@ class DeviceExecutor
             return;
         for (const SiteTraffic &s : d.sites) {
             SiteTraffic &st = siteTrafficDense[s.site];
-            visitFields<SiteTraffic>([&](auto row) {
-                if constexpr (row.perBlock)
-                    st.*row.member += s.*row.member;
-                else
-                    st.*row.member = s.*row.member;
-            });
+            addPerBlock(st, s);
+            st.site = s.site;
         }
     }
 
@@ -706,6 +845,42 @@ class DeviceExecutor
     //
     // Launch-time resolution
     //
+
+    /** Resolve the launch: level sizes, geometry, warp shape, local
+     *  plans and the probe's per-launch tables. The primary executor
+     *  and every block worker prepare the same way. */
+    void
+    prepareLaunch()
+    {
+        resolveLevels();
+        geom = makeGeometry(spec.mapping, levelSizes);
+        prepareWarpShape();
+        prepareLocals();
+
+        // Trace-site ids are dense pre-order integers, so the probe can
+        // direct-index all per-(site, tile, lane) state for the launch.
+        numSites = maxTraceSite(prog.root()) + 1;
+        probe.configure(numSites, tilesPerBlock, prog.numVars());
+
+        // Line-reuse is only effective while every resident thread can
+        // keep one cache line live per access stream.
+        const int64_t tpb = std::max<int64_t>(geom.threadsPerBlock, 1);
+        const int64_t blocksPerSM = std::max<int64_t>(
+            1, std::min<int64_t>(device.maxBlocksPerSM,
+                                 device.maxThreadsPerSM / tpb));
+        const int64_t activeSMs = std::max<int64_t>(
+            1, std::min<int64_t>(device.numSMs, geom.totalBlocks));
+        const int64_t residentPerSM =
+            std::min(blocksPerSM, ceilDiv(geom.totalBlocks, activeSMs)) *
+            tpb;
+        probe.lineReuse =
+            residentPerSM * device.transactionBytes <= device.l1CacheBytes;
+
+        if (options.siteStats) {
+            siteTrafficDense.assign(numSites, SiteTraffic{});
+            probe.siteTraffic = &siteTrafficDense;
+        }
+    }
 
     /** Compute per-level static sizes (max over the level's patterns). */
     void
@@ -1631,6 +1806,21 @@ class DeviceExecutor
 };
 
 } // namespace
+
+std::string
+blockParallelRefusal(const KernelSpec &spec)
+{
+    std::string why = rootParallelRefusal(*spec.prog);
+    if (!why.empty())
+        return why;
+    if (spec.consolidation.enabled)
+        return "R2: consolidated spec";
+    for (size_t lv = 0; lv < spec.mapping.levels.size(); lv++) {
+        if (spec.mapping.levels[lv].span.kind == SpanKind::Split)
+            return fmt("R2: level {} is Split", lv);
+    }
+    return {};
+}
 
 KernelStats
 executeOnDevice(const KernelSpec &spec, const Bindings &args,

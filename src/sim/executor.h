@@ -73,8 +73,17 @@ struct ExecOptions
     }
 };
 
+/** The launch-independent block-parallel rules (R1-R3 of
+ *  runtime/parallel_launch.h; R2 refuses Split levels and consolidated
+ *  specs): empty when the spec's exact block loop may run on several
+ *  workers. compileProgram caches it as KernelSpec::parallelRefusal. */
+std::string blockParallelRefusal(const KernelSpec &spec);
+
 /** Execute the spec with the given bindings; returns the stats needed by
- *  the timing model. Outputs land in the bound arrays. */
+ *  the timing model. Outputs land in the bound arrays. An exact
+ *  (every-block) launch that passes R1-R5 simulates its blocks on the
+ *  task pool's workers, with the serial loop's outputs and stats bit for
+ *  bit. */
 KernelStats executeOnDevice(const KernelSpec &spec, const Bindings &args,
                             const DeviceConfig &device,
                             const ExecOptions &options = {});

@@ -1,5 +1,6 @@
 #include "support/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <exception>
@@ -30,11 +31,16 @@ defaultThreadCount()
 }
 
 /**
- * A persistent pool executing one parallelFor at a time. Workers park on a
- * condition variable between jobs; the job itself is a shared atomic chunk
- * cursor, so chunks are claimed dynamically but results stay position-
- * indexed. The pool is process-lifetime (leaked intentionally so worker
- * teardown never races static destruction).
+ * A persistent pool that serves one job at a time: the most recently
+ * submitted parallelFor gets the workers that are free or finish their
+ * chunks, while an earlier caller keeps draining its own job on its own
+ * thread. Workers park on a condition variable between jobs; the job
+ * itself is a shared atomic chunk cursor, so chunks are claimed
+ * dynamically but results stay position-indexed. Each job counts the
+ * workers inside it, and its caller waits for that count alone, so
+ * callers on different threads never wait for each other. The pool is
+ * process-lifetime (leaked intentionally so worker teardown never races
+ * static destruction).
  */
 class TaskPool
 {
@@ -77,11 +83,14 @@ class TaskPool
         // The caller participates in the same chunk loop.
         workOn(job);
 
-        // Wait for workers to drain their claimed chunks.
+        // Wait for the workers inside this job to drain their claimed
+        // chunks, then retire it unless a later caller's job replaced
+        // it.
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            done_.wait(lock, [&] { return busyWorkers_ == 0; });
-            job_ = nullptr;
+            done_.wait(lock, [&] { return job.busyWorkers == 0; });
+            if (job_ == &job)
+                job_ = nullptr;
         }
 
         if (job.error)
@@ -96,6 +105,8 @@ class TaskPool
         int64_t grain = 1;
         const std::function<void(int64_t)> *body = nullptr;
         std::atomic<int64_t> cursor{0};
+        // Workers inside this job (guarded by the pool mutex).
+        int busyWorkers = 0;
         // First-failing-chunk-by-index exception, for determinism.
         std::mutex errorMutex;
         int64_t errorChunk = -1;
@@ -121,14 +132,14 @@ class TaskPool
                 cv_.wait(lock, [&] { return generation_ != seen; });
                 seen = generation_;
                 job = job_;
-                ++busyWorkers_;
+                if (!job)
+                    continue;
+                ++job->busyWorkers;
             }
-            if (job)
-                workOn(*job);
+            workOn(*job);
             {
                 std::unique_lock<std::mutex> lock(mutex_);
-                --busyWorkers_;
-                if (busyWorkers_ == 0)
+                if (--job->busyWorkers == 0)
                     done_.notify_all();
             }
         }
@@ -163,7 +174,6 @@ class TaskPool
     std::vector<std::thread> workers_;
     Job *job_ = nullptr;
     uint64_t generation_ = 0;
-    int busyWorkers_ = 0;
 };
 
 } // namespace
@@ -213,6 +223,30 @@ parallelFor(int64_t begin, int64_t end,
     NPP_TRACE_SCOPE("parallel.for");
     NPP_TRACE_COUNT("parallel.jobs", 1);
     TaskPool::instance().run(begin, end, body, grain, threads);
+}
+
+void
+parallelChunks(int64_t n, int workers,
+               const std::function<void(int, int64_t, int64_t)> &body)
+{
+    if (n <= 0)
+        return;
+    workers = static_cast<int>(std::clamp<int64_t>(workers, 1, n));
+    // ~8 chunks per worker: a chunk claim is one atomic add, so the tail
+    // stays short even when blocks are few and costly.
+    const int64_t grain = std::max<int64_t>(1, n / (workers * 8));
+    std::atomic<int64_t> cursor{0};
+    parallelFor(
+        0, workers,
+        [&](int64_t w) {
+            for (;;) {
+                const int64_t lo = cursor.fetch_add(grain);
+                if (lo >= n)
+                    break;
+                body(static_cast<int>(w), lo, std::min(n, lo + grain));
+            }
+        },
+        /*grain=*/1);
 }
 
 } // namespace npp

@@ -14,6 +14,11 @@
  *  - Nested use is safe but not nested-parallel: a parallelFor issued from
  *    inside a worker runs inline on the calling thread. This keeps the
  *    pool deadlock-free without a work-stealing scheduler.
+ *  - The pool serves one parallelFor at a time. When callers on several
+ *    threads submit at once, the most recent submitter gets the workers
+ *    and every caller keeps working through its own job; a caller waits
+ *    only for the workers inside its own job, never for another
+ *    caller's.
  *  - Exceptions thrown by body functions are captured and rethrown on the
  *    calling thread after all chunks finish (first failing chunk by index
  *    wins, deterministically).
@@ -55,6 +60,18 @@ bool inParallelRegion();
 void parallelFor(int64_t begin, int64_t end,
                  const std::function<void(int64_t)> &body,
                  int64_t grain = 0);
+
+/**
+ * Run body(worker, lo, hi) over [0, n) cut into contiguous chunks, with
+ * at most `workers` workers claiming chunks dynamically through
+ * parallelFor. A worker index is served by one thread at a time and sees
+ * its chunks in increasing order, so per-worker state indexed by
+ * `worker` needs no locking; a worker that claims no chunk is never
+ * called. With one worker (or inside a parallel region) every chunk runs
+ * in order on the calling thread.
+ */
+void parallelChunks(int64_t n, int workers,
+                    const std::function<void(int, int64_t, int64_t)> &body);
 
 /**
  * Map fn over [0, n) and collect results in input order. fn must be

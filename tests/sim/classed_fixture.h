@@ -15,6 +15,9 @@
  * uncached, so every run truly re-simulates (the EvalCache would
  * otherwise replay one mode's report for the other and the comparison
  * would be vacuous).
+ *
+ * randomCase is the seeded program generator shared by the random
+ * classing suite and the block-parallel suite.
  */
 
 #ifndef NPP_TESTS_SIM_CLASSED_FIXTURE_H
@@ -31,6 +34,7 @@
 
 #include "ir/builder.h"
 #include "sim/gpu.h"
+#include "support/rng.h"
 
 namespace npp {
 namespace difftest {
@@ -134,6 +138,112 @@ runDifferential(const DiffCase &c, const CompileOptions &copts = {})
                 << "siteStats changed the classing verdict";
     }
     return classedAggregate;
+}
+
+/** Inner-pattern flavors the generator picks from. */
+enum class Inner
+{
+    Reduce,          //!< dense reduce (classable baseline)
+    MapReduce,       //!< zipWith temporary + reduce
+    InvariantFilter, //!< index-only predicate: classable cursor
+    DataFilter,      //!< predicate reads the matrix: exact fallback
+    InvariantGroupBy, //!< cyclic key: classable bins
+    DataGroupBy,      //!< key array: exact fallback
+    Count
+};
+
+/** The seeded generator of the randomized differential suites: a nested
+ *  program mixing Map/Reduce/Filter/GroupBy with class-invariant and
+ *  data-dependent predicates and keys, over a random shape (degenerate
+ *  ones included), plus inputs drawn from the same seed. */
+inline DiffCase
+randomCase(uint64_t seed)
+{
+    Rng rng(seed);
+    const int64_t R = 1 + rng.below(48);
+    const int64_t C = 1 + rng.below(64);
+    const int64_t K = 2 + rng.below(7);
+    const auto inner =
+        static_cast<Inner>(rng.below(static_cast<int64_t>(Inner::Count)));
+    const int64_t modv = 2 + rng.below(4);
+    const int64_t pick = rng.below(modv);
+
+    ProgramBuilder b("rand_seed" + std::to_string(seed));
+    Arr m = b.inF64("m");
+    Arr keys = b.inI64("keys");
+    Ex r = b.paramI64("R"), cc = b.paramI64("C"), k = b.paramI64("K");
+    Arr out = b.outF64("out");
+
+    b.map(r, out, [&](Body &fn, Ex i) -> Ex {
+        switch (inner) {
+          case Inner::Reduce:
+            return fn.reduce(cc, Op::Add, [&](Body &, Ex j) {
+                return m(i * cc + j);
+            });
+          case Inner::MapReduce: {
+            Arr temp = fn.zipWith(cc, [&](Body &, Ex j) {
+                return m(i * cc + j) * 0.5;
+            });
+            return fn.reduce(cc, Op::Add,
+                             [&](Body &, Ex j) { return temp(j); });
+          }
+          case Inner::InvariantFilter: {
+            Filtered kept = fn.filter(cc, [&](Body &, Ex j) {
+                return FilterItem{Ex(j) % modv == pick, m(i * cc + j)};
+            });
+            return fn.reduce(kept.count, Op::Add, [&](Body &, Ex j) {
+                return kept.items(j);
+            });
+          }
+          case Inner::DataFilter: {
+            Filtered kept = fn.filter(cc, [&](Body &, Ex j) {
+                return FilterItem{m(i * cc + j) > 0.0, m(i * cc + j)};
+            });
+            return fn.reduce(kept.count, Op::Add, [&](Body &, Ex j) {
+                return kept.items(j);
+            });
+          }
+          case Inner::InvariantGroupBy: {
+            Arr hist = fn.groupBy(cc, k, Op::Add, [&](Body &, Ex j) {
+                return KeyedValue{Ex(j) % k, m(i * cc + j)};
+            });
+            return fn.reduce(k, Op::Add, [&](Body &, Ex g) {
+                return hist(g) * (Ex(g) + 1.0);
+            });
+          }
+          case Inner::DataGroupBy: {
+            Arr hist = fn.groupBy(cc, k, Op::Add, [&](Body &, Ex j) {
+                return KeyedValue{keys(i * cc + j), Ex(1.0)};
+            });
+            return fn.reduce(k, Op::Add, [&](Body &, Ex g) {
+                return hist(g) * (Ex(g) + 1.0);
+            });
+          }
+          case Inner::Count:
+            break;
+        }
+        return Ex(0.0);
+    });
+
+    DiffCase c;
+    c.name = "rand_seed" + std::to_string(seed);
+    c.prog = std::make_shared<Program>(b.build());
+
+    auto mData = std::make_shared<std::vector<double>>(R * C);
+    auto keyData = std::make_shared<std::vector<double>>(R * C);
+    for (int64_t i = 0; i < R * C; i++) {
+        (*mData)[i] = rng.uniform(-1, 1);
+        (*keyData)[i] = static_cast<double>(rng.below(K));
+    }
+    c.bindInputs = [=](Bindings &args) {
+        args.scalar(r, static_cast<double>(R));
+        args.scalar(cc, static_cast<double>(C));
+        args.scalar(k, static_cast<double>(K));
+        args.array(m, *mData);
+        args.array(keys, *keyData);
+    };
+    c.outputs = {{out, R}};
+    return c;
 }
 
 } // namespace difftest

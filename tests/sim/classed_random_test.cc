@@ -15,115 +15,13 @@
 #include <gtest/gtest.h>
 
 #include "classed_fixture.h"
-#include "support/rng.h"
 
 namespace npp {
 namespace {
 
 using difftest::DiffCase;
+using difftest::randomCase;
 using difftest::runDifferential;
-
-/** Inner-pattern flavors the generator picks from. */
-enum class Inner
-{
-    Reduce,          //!< dense reduce (classable baseline)
-    MapReduce,       //!< zipWith temporary + reduce
-    InvariantFilter, //!< index-only predicate: classable cursor
-    DataFilter,      //!< predicate reads the matrix: exact fallback
-    InvariantGroupBy, //!< cyclic key: classable bins
-    DataGroupBy,      //!< key array: exact fallback
-    Count
-};
-
-DiffCase
-randomCase(uint64_t seed)
-{
-    Rng rng(seed);
-    const int64_t R = 1 + rng.below(48);
-    const int64_t C = 1 + rng.below(64);
-    const int64_t K = 2 + rng.below(7);
-    const auto inner =
-        static_cast<Inner>(rng.below(static_cast<int64_t>(Inner::Count)));
-    const int64_t modv = 2 + rng.below(4);
-    const int64_t pick = rng.below(modv);
-
-    ProgramBuilder b("rand_seed" + std::to_string(seed));
-    Arr m = b.inF64("m");
-    Arr keys = b.inI64("keys");
-    Ex r = b.paramI64("R"), cc = b.paramI64("C"), k = b.paramI64("K");
-    Arr out = b.outF64("out");
-
-    b.map(r, out, [&](Body &fn, Ex i) -> Ex {
-        switch (inner) {
-          case Inner::Reduce:
-            return fn.reduce(cc, Op::Add, [&](Body &, Ex j) {
-                return m(i * cc + j);
-            });
-          case Inner::MapReduce: {
-            Arr temp = fn.zipWith(cc, [&](Body &, Ex j) {
-                return m(i * cc + j) * 0.5;
-            });
-            return fn.reduce(cc, Op::Add,
-                             [&](Body &, Ex j) { return temp(j); });
-          }
-          case Inner::InvariantFilter: {
-            Filtered kept = fn.filter(cc, [&](Body &, Ex j) {
-                return FilterItem{Ex(j) % modv == pick, m(i * cc + j)};
-            });
-            return fn.reduce(kept.count, Op::Add, [&](Body &, Ex j) {
-                return kept.items(j);
-            });
-          }
-          case Inner::DataFilter: {
-            Filtered kept = fn.filter(cc, [&](Body &, Ex j) {
-                return FilterItem{m(i * cc + j) > 0.0, m(i * cc + j)};
-            });
-            return fn.reduce(kept.count, Op::Add, [&](Body &, Ex j) {
-                return kept.items(j);
-            });
-          }
-          case Inner::InvariantGroupBy: {
-            Arr hist = fn.groupBy(cc, k, Op::Add, [&](Body &, Ex j) {
-                return KeyedValue{Ex(j) % k, m(i * cc + j)};
-            });
-            return fn.reduce(k, Op::Add, [&](Body &, Ex g) {
-                return hist(g) * (Ex(g) + 1.0);
-            });
-          }
-          case Inner::DataGroupBy: {
-            Arr hist = fn.groupBy(cc, k, Op::Add, [&](Body &, Ex j) {
-                return KeyedValue{keys(i * cc + j), Ex(1.0)};
-            });
-            return fn.reduce(k, Op::Add, [&](Body &, Ex g) {
-                return hist(g) * (Ex(g) + 1.0);
-            });
-          }
-          case Inner::Count:
-            break;
-        }
-        return Ex(0.0);
-    });
-
-    DiffCase c;
-    c.name = "rand_seed" + std::to_string(seed);
-    c.prog = std::make_shared<Program>(b.build());
-
-    auto mData = std::make_shared<std::vector<double>>(R * C);
-    auto keyData = std::make_shared<std::vector<double>>(R * C);
-    for (int64_t i = 0; i < R * C; i++) {
-        (*mData)[i] = rng.uniform(-1, 1);
-        (*keyData)[i] = static_cast<double>(rng.below(K));
-    }
-    c.bindInputs = [=](Bindings &args) {
-        args.scalar(r, static_cast<double>(R));
-        args.scalar(cc, static_cast<double>(C));
-        args.scalar(k, static_cast<double>(K));
-        args.array(m, *mData);
-        args.array(keys, *keyData);
-    };
-    c.outputs = {{out, R}};
-    return c;
-}
 
 class ClassedRandom : public ::testing::TestWithParam<uint64_t>
 {};

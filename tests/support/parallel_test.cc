@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -144,6 +146,83 @@ TEST_F(ParallelTest, NestedParallelForRunsInline)
     EXPECT_EQ(total.load(), 8 * 4);
     EXPECT_EQ(nestedInline.load(), 8 * 4) << "nested bodies left the thread";
     EXPECT_FALSE(inParallelRegion());
+}
+
+TEST_F(ParallelTest, CallerWaitsOnlyForItsOwnJob)
+{
+    // Thread A's four bodies hold every worker until thread B's short
+    // job has returned; B submits while they run. If B's caller waited
+    // for workers inside A's job (as a pool-wide busy count makes it),
+    // B could not return until A's bodies gave up. Every wait is
+    // bounded, so a regression fails here instead of hanging.
+    setParallelThreadCount(4);
+    using Clock = std::chrono::steady_clock;
+    constexpr auto kBound = std::chrono::seconds(3);
+    std::mutex mu;
+    std::condition_variable cv;
+    bool aStarted = false;
+    bool bReturned = false;
+    std::vector<std::atomic<int>> hitsA(4), hitsB(2);
+    std::atomic<int> timedOut{0};
+
+    std::thread a([&] {
+        parallelFor(
+            0, 4,
+            [&](int64_t i) {
+                hitsA[static_cast<size_t>(i)].fetch_add(1);
+                std::unique_lock<std::mutex> lock(mu);
+                aStarted = true;
+                cv.notify_all();
+                if (!cv.wait_for(lock, kBound, [&] { return bReturned; }))
+                    timedOut.fetch_add(1);
+            },
+            /*grain=*/1);
+    });
+    Clock::duration bTook{};
+    std::thread b([&] {
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            cv.wait_for(lock, kBound, [&] { return aStarted; });
+        }
+        const auto t0 = Clock::now();
+        parallelFor(0, 2, [&](int64_t i) {
+            hitsB[static_cast<size_t>(i)].fetch_add(1);
+        });
+        bTook = Clock::now() - t0;
+        std::lock_guard<std::mutex> lock(mu);
+        bReturned = true;
+        cv.notify_all();
+    });
+    a.join();
+    b.join();
+
+    EXPECT_EQ(timedOut.load(), 0) << "A's bodies waited out their bound";
+    EXPECT_LT(bTook, std::chrono::seconds(1))
+        << "B's call waited for A's job";
+    for (const auto &h : hitsA)
+        EXPECT_EQ(h.load(), 1);
+    for (const auto &h : hitsB)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST_F(ParallelTest, ChunksCoverTheRangeInOrderPerWorker)
+{
+    setParallelThreadCount(4);
+    const int64_t n = 1009;
+    std::vector<std::atomic<int>> hits(n);
+    std::vector<int64_t> last(4, -1);
+    std::atomic<int> outOfOrder{0};
+    parallelChunks(n, 4, [&](int w, int64_t lo, int64_t hi) {
+        ASSERT_LT(lo, hi);
+        if (lo <= last[static_cast<size_t>(w)])
+            outOfOrder.fetch_add(1);
+        last[static_cast<size_t>(w)] = hi - 1;
+        for (int64_t i = lo; i < hi; i++)
+            hits[static_cast<size_t>(i)].fetch_add(1);
+    });
+    EXPECT_EQ(outOfOrder.load(), 0);
+    for (int64_t i = 0; i < n; i++)
+        ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
 }
 
 TEST_F(ParallelTest, ThreadCountOverride)

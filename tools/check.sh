@@ -24,7 +24,9 @@
 # the default tree for speed and in the asan tree so hostile inputs
 # (corrupt cache and model files, malformed requests) exercise the
 # deserializers under sanitizers:
-#   differential  block classing is bit-exact against full simulation
+#   differential  block classing is bit-exact against full simulation,
+#                 and block-parallel / root-parallel runs against the
+#                 serial loop (sim_block_parallel_test)
 #   coalesce      coalescing-model contracts (shift invariance)
 #   server        mapping service, request coalescing, hostile disk
 #                 entries (each test uses its own NPP_EVAL_CACHE_DIR)
@@ -50,7 +52,14 @@
 # tree against one fresh NPP_EVAL_CACHE_DIR and diffs the second run's
 # rows against the first: the second replays every launch and every
 # reference validation from disk, and fig14 divides by the replayed
-# reference work counts (cpuMs).
+# reference work counts (cpuMs). Last, in the working tree, it
+# re-exports the seven demo programs' --stats with NPP_THREADS=1 (every
+# launch on the serial loop) and diffs them against the default-thread
+# exports, and runs `compiler_microbench --pipeline`, which exits
+# nonzero unless its serial_cold rows (launches block-parallel) equal
+# its parallel_cold rows (launches inline on pool workers) bit for bit;
+# the figure binaries run their apps on the pool, so only this bench's
+# serial configurations put their launches on the block-parallel path.
 #
 # Each job uses its own build directory (build/, build-asan/,
 # build-tsan/, build-ubsan/, build-rows/) so sanitizer and plain objects
@@ -151,6 +160,24 @@ rows)
         fi
     done
     rm -rf "${warm}/cache"
+    serial="${rows_dir}/out/serial"
+    mkdir -p "${serial}"
+    for prog in sumrows sumcols weightedrows weightedcols pagerank \
+        mandelbrot spmv; do
+        NPP_THREADS=1 build/tools/nppc "${prog}" --run \
+            --stats="${serial}/${prog}.json" >/dev/null
+        if ! diff "${rows_dir}/out/head/${prog}.json" \
+            "${serial}/${prog}.json"; then
+            echo "== check: ${prog} --stats differ under NPP_THREADS=1 ==" >&2
+            exit 1
+        fi
+    done
+    cmake --build build -j "$(nproc)" --target compiler_microbench
+    if ! build/bench/compiler_microbench --pipeline \
+        "${rows_dir}/out/pipeline.json" >"${rows_dir}/out/pipeline.txt"; then
+        echo "== check: compiler_microbench --pipeline rows differ ==" >&2
+        exit 1
+    fi
     ;;
 all)
     run_job default build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
