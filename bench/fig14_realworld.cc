@@ -31,7 +31,9 @@ runFigure()
         "  - MSMBuilder: small per-level domains starve 1D; MultiDim\n"
         "    parallelizes the product of the domains;\n"
         "  - NaiveBayes: MultiDim wins big on kernels, and stays ahead\n"
-        "    of the CPU even including the matrix transfer.\n");
+        "    of the CPU even including the matrix transfer (known\n"
+        "    deviation: with the transfer it lands above the CPU here;\n"
+        "    see EXPERIMENTS.md).\n");
 }
 
 } // namespace

@@ -9,6 +9,8 @@
  * neighbor level.
  */
 
+#include <algorithm>
+
 #include "apps/rodinia.h"
 #include "support/rng.h"
 
@@ -33,13 +35,11 @@ class BfsApp : public App
                 edges.push_back(static_cast<double>(rng.below(n)));
             starts.push_back(static_cast<double>(edges.size()));
         }
-        rowStart = FrozenArray(std::move(starts));
-        nbrs = FrozenArray(std::move(edges));
+        rowStart = HostArray(std::move(starts));
+        nbrs = HostArray(std::move(edges));
         build();
         hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
-        inputBytes_ = static_cast<double>(rowStart.values().size() +
-                                          nbrs.values().size()) *
-                      8;
+        inputBytes_ = static_cast<double>(rowStart.size() + nbrs.size()) * 8;
         absoluteError_ = true;
         // The Rodinia kernel only exploits the top-level parallelism
         // (Section VI-C) — the 1D mapping with raw pointers.
@@ -84,10 +84,12 @@ class BfsApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> frontier(n, 0.0), next(n, 0.0);
-        std::vector<double> visited(n, 0.0), cost(n, 0.0);
-        frontier[0] = 1.0;
-        visited[0] = 1.0;
+        HostArray frontier(std::vector<double>(n, 0.0));
+        HostArray next(std::vector<double>(n, 0.0));
+        HostArray visited(std::vector<double>(n, 0.0));
+        HostArray cost(std::vector<double>(n, 0.0));
+        frontier.mut()[0] = 1.0;
+        visited.mut()[0] = 1.0;
         bool active = true;
         int guard = 0;
         while (active && guard++ < 64) {
@@ -101,18 +103,20 @@ class BfsApp : public App
             args.array(nextArr, next);
             runner.launch(*prog, args);
 
-            active = false;
-            for (int64_t v = 0; v < n; v++) {
-                frontier[v] = next[v];
-                next[v] = 0.0;
-                active = active || frontier[v] > 0.0;
-            }
+            // The next frontier becomes the current one, and the next
+            // starts empty.
+            std::swap(frontier, next);
+            std::vector<double> &cleared = next.mut();
+            std::fill(cleared.begin(), cleared.end(), 0.0);
+            active = std::any_of(frontier.values().begin(),
+                                 frontier.values().end(),
+                                 [](double f) { return f > 0.0; });
         }
-        return cost;
+        return std::move(cost.mut());
     }
 
     int64_t n;
-    FrozenArray rowStart, nbrs;
+    HostArray rowStart, nbrs;
     std::shared_ptr<Program> prog;
     Arr startArr, nbrArr, frontierArr, costArr, visitedArr, nextArr;
     Ex nParam;

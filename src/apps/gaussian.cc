@@ -144,9 +144,9 @@ class GaussianApp : public App
     {
         const Fan2Handles &h =
             f2Handles[update == fan2Manual ? fan2ManualIdx : fan2Idx];
-        std::vector<double> a = a0;
-        std::vector<double> bvec = b0;
-        std::vector<double> mcol(n, 0.0);
+        HostArray a(a0);
+        HostArray bvec(b0);
+        HostArray mcol(std::vector<double>(n, 0.0));
         for (int64_t t = 0; t + 1 < n; t++) {
             {
                 Bindings args(*fan1);
@@ -168,8 +168,8 @@ class GaussianApp : public App
         }
         // Solution vector is implied by back-substitution on the host;
         // the kernels' output of record is the eliminated system.
-        std::vector<double> out = a;
-        out.insert(out.end(), bvec.begin(), bvec.end());
+        std::vector<double> out = std::move(a.mut());
+        out.insert(out.end(), bvec.values().begin(), bvec.values().end());
         return out;
     }
 

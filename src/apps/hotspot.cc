@@ -27,7 +27,7 @@ class HotspotApp : public App
             t = rng.uniform(320, 340);
         for (auto &p : watts)
             p = rng.uniform(0, 1e-3);
-        power = FrozenArray(std::move(watts));
+        power = HostArray(std::move(watts));
         build();
         hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
         inputBytes_ = static_cast<double>(n) * n * 2 * 8;
@@ -88,8 +88,8 @@ class HotspotApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> a = temp0;
-        std::vector<double> c(n * n, 0.0);
+        HostArray a(temp0);
+        HostArray c(std::vector<double>(n * n, 0.0));
         for (int it = 0; it < iterations; it++) {
             Bindings args(*prog);
             args.scalar(nParam, static_cast<double>(n));
@@ -99,14 +99,14 @@ class HotspotApp : public App
             runner.launch(*prog, args);
             std::swap(a, c);
         }
-        return a;
+        return std::move(a.mut());
     }
 
     int64_t n;
     int iterations;
     bool colMajor;
     std::vector<double> temp0;
-    FrozenArray power;
+    HostArray power;
     std::shared_ptr<Program> prog;
     Arr tIn, pArr, tOut;
     Ex nParam;

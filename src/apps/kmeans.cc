@@ -23,12 +23,13 @@ class KmeansApp : public App
           iterations(iterations)
     {
         Rng rng(67);
-        x.resize(p * f);
+        std::vector<double> &coords = x.mut();
+        coords.resize(p * f);
         // Points drawn around k well-separated synthetic centers.
         for (int64_t i = 0; i < p; i++) {
             const int64_t c = rng.below(k);
             for (int64_t d = 0; d < f; d++) {
-                x[i * f + d] =
+                coords[i * f + d] =
                     static_cast<double>(c * 10 + d % 3) +
                     rng.gaussian() * 0.5;
             }
@@ -122,14 +123,12 @@ class KmeansApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> centers(k * f, 0.0);
         // Deterministic init: first k points.
-        for (int64_t c = 0; c < k; c++)
-            for (int64_t d = 0; d < f; d++)
-                centers[c * f + d] = x[c * f + d];
-
-        std::vector<double> assignment(p, 0.0);
-        std::vector<double> sumBuf(k * f, 0.0), countBuf(k, 0.0);
+        HostArray centers(std::vector<double>(x.values().begin(),
+                                              x.values().begin() + k * f));
+        HostArray assignment(std::vector<double>(p, 0.0));
+        HostArray sumBuf(std::vector<double>(k * f, 0.0));
+        HostArray countBuf(std::vector<double>(k, 0.0));
         for (int it = 0; it < iterations; it++) {
             {
                 Bindings args(*assign);
@@ -157,19 +156,20 @@ class KmeansApp : public App
                 args.array(cOut, countBuf);
                 runner.launch(*counts, args);
             }
+            std::vector<double> &next = centers.mut();
             for (int64_t c = 0; c < k; c++) {
                 if (countBuf[c] == 0.0)
                     continue;
                 for (int64_t d = 0; d < f; d++)
-                    centers[c * f + d] = sumBuf[c * f + d] / countBuf[c];
+                    next[c * f + d] = sumBuf[c * f + d] / countBuf[c];
             }
         }
-        return centers;
+        return std::move(centers.mut());
     }
 
     int64_t p, k, f;
     int iterations;
-    std::vector<double> x;
+    HostArray x;
     std::shared_ptr<Program> assign, sums, counts;
     Arr aX, aC, aOut, sX, sAssign, sOut, cAssign, cOut;
     Ex aP, aK, aF, sP, sF, cP;

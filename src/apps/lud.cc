@@ -114,7 +114,7 @@ class LudApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> a = a0;
+        HostArray a(a0);
         for (int64_t k = 0; k + 1 < n; k++) {
             {
                 Bindings args(*scale);
@@ -131,7 +131,7 @@ class LudApp : public App
                 runner.launch(*update, args);
             }
         }
-        return a;
+        return std::move(a.mut());
     }
 
     int64_t n;

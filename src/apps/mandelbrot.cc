@@ -82,13 +82,13 @@ class MandelbrotApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> img(h * w, 0.0);
+        HostArray img(std::vector<double>(h * w, 0.0));
         Bindings args(*prog);
         args.scalar(hParam, static_cast<double>(h));
         args.scalar(wParam, static_cast<double>(w));
         args.array(outArr, img);
         runner.launch(*prog, args);
-        return img;
+        return std::move(img.mut());
     }
 
     int64_t h, w;

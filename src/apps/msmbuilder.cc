@@ -27,8 +27,8 @@ class MsmBuilderApp : public App
             v = rng.uniform(-1, 1);
         for (auto &v : centers)
             v = rng.uniform(-1, 1);
-        x = FrozenArray(std::move(coords));
-        c = FrozenArray(std::move(centers));
+        x = HostArray(std::move(coords));
+        c = HostArray(std::move(centers));
         build();
         hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)},
                               {kParam.ref()->varId, static_cast<double>(k)},
@@ -67,7 +67,7 @@ class MsmBuilderApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> dist(n * k, 0.0);
+        HostArray dist(std::vector<double>(n * k, 0.0));
         Bindings args(*prog);
         args.scalar(nParam, static_cast<double>(n));
         args.scalar(kParam, static_cast<double>(k));
@@ -76,11 +76,11 @@ class MsmBuilderApp : public App
         args.array(cArr, c);
         args.array(dArr, dist);
         runner.launch(*prog, args);
-        return dist;
+        return std::move(dist.mut());
     }
 
     int64_t n, k, f;
-    FrozenArray x, c;
+    HostArray x, c;
     std::shared_ptr<Program> prog;
     Arr xArr, cArr, dArr;
     Ex nParam, kParam, fParam;

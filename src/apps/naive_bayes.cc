@@ -27,8 +27,8 @@ class NaiveBayesApp : public App
             v = static_cast<double>(rng.below(4));
         for (auto &v : spam)
             v = rng.below(2) ? 1.0 : 0.0;
-        counts = FrozenArray(std::move(wordCounts));
-        isSpam = FrozenArray(std::move(spam));
+        counts = HostArray(std::move(wordCounts));
+        isSpam = HostArray(std::move(spam));
         buildDocTotals();
         buildWordClassCounts();
         hints_.paramValues = {{dParam1.ref()->varId, static_cast<double>(d)},
@@ -81,7 +81,8 @@ class NaiveBayesApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> totals(d, 0.0), spamPerWord(w, 0.0);
+        HostArray totals(std::vector<double>(d, 0.0));
+        HostArray spamPerWord(std::vector<double>(w, 0.0));
         {
             Bindings args(*docTotals);
             args.scalar(dParam1, static_cast<double>(d));
@@ -99,12 +100,14 @@ class NaiveBayesApp : public App
             args.array(wcOut, spamPerWord);
             runner.launch(*wordClass, args);
         }
-        totals.insert(totals.end(), spamPerWord.begin(), spamPerWord.end());
-        return totals;
+        std::vector<double> out = std::move(totals.mut());
+        out.insert(out.end(), spamPerWord.values().begin(),
+                   spamPerWord.values().end());
+        return out;
     }
 
     int64_t d, w;
-    FrozenArray counts, isSpam;
+    HostArray counts, isSpam;
     std::shared_ptr<Program> docTotals, wordClass;
     Arr dtCounts, dtOut, wcCounts, wcSpam, wcOut;
     Ex dParam1, wParam1, dParam2, wParam2;

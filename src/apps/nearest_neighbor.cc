@@ -25,8 +25,8 @@ class NearestNeighborApp : public App
             lats[i] = rng.uniform(0, 90);
             lngs[i] = rng.uniform(0, 180);
         }
-        lat = FrozenArray(std::move(lats));
-        lng = FrozenArray(std::move(lngs));
+        lat = HostArray(std::move(lats));
+        lng = HostArray(std::move(lngs));
         build();
         hints_.paramValues = {{nParam.ref()->varId, static_cast<double>(n)}};
         inputBytes_ = static_cast<double>(n) * 2 * 8;
@@ -60,7 +60,7 @@ class NearestNeighborApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> dist(n, 0.0);
+        HostArray dist(std::vector<double>(n, 0.0));
         Bindings args(*prog);
         args.scalar(nParam, static_cast<double>(n));
         args.scalar(targetLat, 30.0);
@@ -69,11 +69,11 @@ class NearestNeighborApp : public App
         args.array(lngArr, lng);
         args.array(distArr, dist);
         runner.launch(*prog, args);
-        return dist;
+        return std::move(dist.mut());
     }
 
     int64_t n;
-    FrozenArray lat, lng;
+    HostArray lat, lng;
     std::shared_ptr<Program> prog;
     Arr latArr, lngArr, distArr;
     Ex nParam, targetLat, targetLng;

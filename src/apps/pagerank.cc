@@ -20,19 +20,21 @@ class PageRankApp : public App
         : App("PageRank"), n(nodes), iterations(iterations)
     {
         Rng rng(47);
-        rowStart.push_back(0);
+        std::vector<double> starts{0.0}, edges, degrees(n, 0.0);
         for (int64_t v = 0; v < n; v++) {
             const int64_t deg =
                 1 + static_cast<int64_t>(rng.below(2 * avgDegree));
             for (int64_t e = 0; e < deg; e++)
-                nbrs.push_back(static_cast<double>(rng.below(n)));
-            rowStart.push_back(static_cast<double>(nbrs.size()));
+                edges.push_back(static_cast<double>(rng.below(n)));
+            starts.push_back(static_cast<double>(edges.size()));
         }
-        degree.assign(n, 0.0);
-        for (double nb : nbrs)
-            degree[static_cast<int64_t>(nb)] += 1.0;
-        for (auto &dg : degree)
+        for (double nb : edges)
+            degrees[static_cast<int64_t>(nb)] += 1.0;
+        for (auto &dg : degrees)
             dg = std::max(dg, 1.0);
+        rowStart = HostArray(std::move(starts));
+        nbrs = HostArray(std::move(edges));
+        degree = HostArray(std::move(degrees));
         build();
         // The production pipeline fuses Fig 5's nbrsWeights map into the
         // reduce — without it every node pays a device malloc for its
@@ -77,8 +79,8 @@ class PageRankApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> prev(n, 1.0 / static_cast<double>(n));
-        std::vector<double> next(n, 0.0);
+        HostArray prev(std::vector<double>(n, 1.0 / static_cast<double>(n)));
+        HostArray next(std::vector<double>(n, 0.0));
         for (int it = 0; it < iterations; it++) {
             Bindings args(*prog);
             args.scalar(nParam, static_cast<double>(n));
@@ -91,12 +93,12 @@ class PageRankApp : public App
             runner.launch(*prog, args);
             std::swap(prev, next);
         }
-        return prev;
+        return std::move(prev.mut());
     }
 
     int64_t n;
     int iterations;
-    std::vector<double> rowStart, nbrs, degree;
+    HostArray rowStart, nbrs, degree;
     std::shared_ptr<Program> prog;
     Arr startArr, nbrArr, degArr, prevArr, outArr;
     Ex nParam, dampParam;

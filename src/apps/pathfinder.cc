@@ -34,7 +34,7 @@ class PathfinderApp : public App
         std::vector<double> weights(rows * cols);
         for (auto &w : weights)
             w = static_cast<double>(rng.below(10));
-        wall = FrozenArray(std::move(weights));
+        wall = HostArray(std::move(weights));
         build();
         hints_.paramValues = {{cParam.ref()->varId,
                                static_cast<double>(cols)}};
@@ -107,9 +107,9 @@ class PathfinderApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> src(wall.values().begin(),
-                                wall.values().begin() + cols);
-        std::vector<double> dst(cols, 0.0);
+        HostArray src(std::vector<double>(wall.values().begin(),
+                                          wall.values().begin() + cols));
+        HostArray dst(std::vector<double>(cols, 0.0));
         for (int64_t r = 1; r < rows; r++) {
             Bindings args(*prog);
             args.scalar(cParam, static_cast<double>(cols));
@@ -120,11 +120,11 @@ class PathfinderApp : public App
             runner.launch(*prog, args);
             std::swap(src, dst);
         }
-        return src;
+        return std::move(src.mut());
     }
 
     int64_t rows, cols;
-    FrozenArray wall;
+    HostArray wall;
     std::shared_ptr<Program> prog;
     Arr wallArr, srcArr, dstArr;
     Ex cParam, rowParam;

@@ -30,9 +30,9 @@ class QpscdApp : public App
             v = rng.uniform(-1, 1);
         for (int64_t i = 0; i < s; i++)
             order[i] = static_cast<double>((i * 2654435761u) % s);
-        a = FrozenArray(std::move(rows));
-        y = FrozenArray(std::move(labels));
-        perm = FrozenArray(std::move(order));
+        a = HostArray(std::move(rows));
+        y = HostArray(std::move(labels));
+        perm = HostArray(std::move(order));
         build();
         hints_.paramValues = {{sParam.ref()->varId, static_cast<double>(s)},
                               {dParam.ref()->varId, static_cast<double>(d)}};
@@ -70,7 +70,7 @@ class QpscdApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> x(d, 0.0);
+        HostArray x(std::vector<double>(d, 0.0));
         for (int e = 0; e < epochs; e++) {
             Bindings args(*prog);
             args.scalar(sParam, static_cast<double>(s));
@@ -81,12 +81,12 @@ class QpscdApp : public App
             args.array(xArr, x);
             runner.launch(*prog, args);
         }
-        return x;
+        return std::move(x.mut());
     }
 
     int64_t s, d;
     int epochs;
-    FrozenArray a, y, perm;
+    HostArray a, y, perm;
     std::shared_ptr<Program> prog;
     Arr aArr, yArr, permArr, xArr;
     Ex sParam, dParam;

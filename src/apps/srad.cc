@@ -127,9 +127,9 @@ class SradApp : public App
     std::vector<double>
     hostLoop(Runner &runner) override
     {
-        std::vector<double> img = image0;
-        std::vector<double> c(n * n, 0.0);
-        std::vector<double> next(n * n, 0.0);
+        HostArray img(image0);
+        HostArray c(std::vector<double>(n * n, 0.0));
+        HostArray next(std::vector<double>(n * n, 0.0));
         for (int it = 0; it < iterations; it++) {
             {
                 Bindings args(*coeff);
@@ -148,7 +148,7 @@ class SradApp : public App
             }
             std::swap(img, next);
         }
-        return img;
+        return std::move(img.mut());
     }
 
     int64_t n;

@@ -42,12 +42,18 @@ struct AutotuneResult : Sweep
     double scoreChoiceMs = 0.0;
 };
 
+/** Picks mappingPoints ranks and remembers per (program object, device,
+ *  compile options); a call asking for fewer takes a prefix. */
+inline constexpr int kMemoizedPicks = 48;
+
 /**
  * Algorithm 1's candidates as sweep points over `base` (each under
  * Strategy::Fixed, labelled by its mapping): the score-based selection
  * first (ControlDOP may have rewritten it beyond the raw list), then
  * the distinct candidates by descending score, at most `maxPicks` in
- * all. `base.strategy` is ignored.
+ * all. `base.strategy` is ignored. The ranked list is compiled once per
+ * program object, device and compile options (a bounded memo), so a
+ * repeated call compiles nothing.
  */
 std::vector<SweepPoint> mappingPoints(const Program &prog,
                                       const DeviceConfig &device,
@@ -57,7 +63,8 @@ std::vector<SweepPoint> mappingPoints(const Program &prog,
 /**
  * Compile, enumerate, execute the top-scoring candidates, return the
  * empirically fastest mapping. `base.strategy` is ignored (the tuner
- * owns candidate selection).
+ * owns candidate selection). The winner's spec is memoized like
+ * mappingPoints' list, so a call on a warm eval cache compiles nothing.
  */
 AutotuneResult autotune(const Program &prog, const Gpu &gpu,
                         const Bindings &args, CompileOptions base = {},

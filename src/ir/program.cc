@@ -1,11 +1,19 @@
 #include "ir/program.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "ir/traverse.h"
 #include "support/logging.h"
 
 namespace npp {
+
+uint64_t
+Program::FreshId::next()
+{
+    static std::atomic<uint64_t> counter{0};
+    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 int
 Program::addVar(VarInfo info)
@@ -53,8 +61,7 @@ namespace {
 
 /** A launch may write an array param only if it is declared output:
  *  both eval-cache tiers capture and replay only output arrays, and a
- *  FrozenArray input is digested once on the promise that no launch
- *  writes it. */
+ *  launch keeps only its outputs' HostArray digests current. */
 void
 requireOutput(const Program &prog, int varId, const char *what)
 {

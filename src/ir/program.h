@@ -9,6 +9,7 @@
 #ifndef NPP_IR_PROGRAM_H
 #define NPP_IR_PROGRAM_H
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +28,13 @@ class Program
     explicit Program(std::string name) : name_(std::move(name)) {}
 
     const std::string &name() const { return name_; }
+
+    /** Process-unique id of this object: fresh for every constructed,
+     *  copied, moved-to or assigned Program and never reused, so a memo
+     *  keyed by it answers only this object. Like the compiled specs
+     *  that point at the program, such a memo assumes the program does
+     *  not change once compiled. */
+    uint64_t id() const { return id_.value; }
 
     /** @name Variable table
      *  @{
@@ -69,6 +77,25 @@ class Program
     void validate() const;
 
   private:
+    /** A value that no other object has held: every construction,
+     *  copy, move and assignment draws the next one. */
+    struct FreshId
+    {
+        uint64_t value = next();
+
+        FreshId() = default;
+        FreshId(const FreshId &) : value(next()) {}
+        FreshId &
+        operator=(const FreshId &)
+        {
+            value = next();
+            return *this;
+        }
+
+        static uint64_t next();
+    };
+
+    FreshId id_;
     std::string name_;
     std::vector<VarInfo> vars_;
     PatternPtr root_;

@@ -53,7 +53,9 @@ predictiveSweep(const Gpu &gpu, const Program &prog, const Bindings &args,
 {
     NPP_TRACE_SCOPE("predict.sweep");
     // Candidate universe: Algorithm 1's score ranking, score choice
-    // first — the same pick list the autotuner evaluates exhaustively.
+    // first — the same pick list the autotuner evaluates exhaustively,
+    // compiled once per program object.
+    static_assert(kPredictUniverse <= kMemoizedPicks);
     std::vector<SweepPoint> points =
         mappingPoints(prog, gpu.config(), base, kPredictUniverse);
 

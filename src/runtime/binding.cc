@@ -12,7 +12,7 @@ Bindings::Bindings(const Program &prog)
       scalars_(prog.numVars(), 0.0),
       scalarBound_(prog.numVars(), false),
       arrays_(prog.numVars()),
-      frozen_(prog.numVars(), nullptr)
+      hosts_(prog.numVars(), nullptr)
 {}
 
 void
@@ -34,25 +34,32 @@ Bindings::array(Arr param, std::vector<double> &storage)
 }
 
 void
-Bindings::array(Arr param, const FrozenArray &frozen)
+Bindings::array(Arr param, HostArray &host)
+{
+    bindArray(param, host.values().data(), host.size(), &host);
+}
+
+void
+Bindings::array(Arr param, const HostArray &frozen)
 {
     NPP_ASSERT(!prog_->var(param.id()).isOutput,
                "{} is an output; it cannot be bound frozen",
                prog_->var(param.id()).name);
-    bindArray(param, frozen.values().data(), frozen.values().size(),
-              &frozen);
+    // Never written: prepareOutputs and shareOutput change only outputs.
+    bindArray(param, frozen.values().data(), frozen.size(),
+              const_cast<HostArray *>(&frozen));
 }
 
 void
 Bindings::bindArray(Arr param, const double *data, size_t size,
-                    const FrozenArray *frozen)
+                    HostArray *host)
 {
     const int id = param.id();
     NPP_ASSERT(prog_->var(id).role == VarRole::ArrayParam,
                "{} is not an array param", prog_->var(id).name);
     ArraySlot slot;
-    // Frozen storage is only ever read: validate() refuses a program
-    // that writes a non-output array.
+    // Storage bound frozen is only ever read: validate() refuses a
+    // program that writes a non-output array.
     slot.data = const_cast<double *>(data);
     slot.size = static_cast<int64_t>(size);
     slot.physSize = slot.size;
@@ -62,7 +69,7 @@ Bindings::bindArray(Arr param, const double *data, size_t size,
     slot.addrStride = 1;
     slot.elemBytes = scalarBytes(prog_->var(id).kind);
     arrays_[id] = slot;
-    frozen_[id] = frozen;
+    hosts_[id] = host;
 }
 
 void
@@ -87,7 +94,7 @@ Bindings::seed(EvalCtx &ctx) const
             if (arrays_[v.id].data == nullptr)
                 NPP_FATAL("{}: array param {} not bound", prog_->name(),
                           v.name);
-            ctx.arrays[v.id] = arrays_[v.id];
+            ctx.arrays[v.id] = arraySlot(v.id);
         }
     }
 }
@@ -142,15 +149,63 @@ digestArray(const double *data, int64_t n)
     return h;
 }
 
-uint64_t
-FrozenArray::digest() const
+HostArray &
+HostArray::operator=(HostArray &&other) noexcept
 {
-    std::call_once(state_->once, [this] {
-        state_->digest =
-            digestArray(state_->values.data(),
-                        static_cast<int64_t>(state_->values.size()));
-    });
-    return state_->digest;
+    if (this != &other) {
+        values_ = std::move(other.values_);
+        shared_ = std::move(other.shared_);
+        known_ = other.known_;
+        digest_ = other.digest_;
+        other.known_ = false;
+    }
+    return *this;
+}
+
+std::vector<double> &
+HostArray::mut()
+{
+    if (shared_) {
+        values_.assign(shared_->begin(), shared_->end());
+        shared_.reset();
+    }
+    dropDigest();
+    return values_;
+}
+
+void
+HostArray::share(std::shared_ptr<const std::vector<double>> contents,
+                 uint64_t digest)
+{
+    shared_ = std::move(contents);
+    setDigest(digest);
+}
+
+uint64_t
+HostArray::digest() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!known_) {
+        digest_ = digestArray(values().data(),
+                              static_cast<int64_t>(size()));
+        known_ = true;
+    }
+    return digest_;
+}
+
+void
+HostArray::setDigest(uint64_t digest) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    digest_ = digest;
+    known_ = true;
+}
+
+void
+HostArray::dropDigest() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    known_ = false;
 }
 
 uint64_t
@@ -169,13 +224,52 @@ Bindings::fingerprint() const
             // An empty array adds nothing past its size: its storage
             // pointer may be null whether or not it is bound.
             if (slot.physSize > 0) {
-                h = mixWord(h, frozen_[v.id]
-                                   ? frozen_[v.id]->digest()
+                h = mixWord(h, hosts_[v.id]
+                                   ? hosts_[v.id]->digest()
                                    : digestArray(slot.data, slot.physSize));
             }
         }
     }
     return h;
+}
+
+void
+Bindings::prepareOutputs() const
+{
+    for (const auto &v : prog_->vars()) {
+        if (v.isOutput && hosts_[v.id])
+            hosts_[v.id]->mut();
+    }
+}
+
+void
+Bindings::setOutputDigest(int varId, uint64_t digest) const
+{
+    if (hosts_[varId])
+        hosts_[varId]->setDigest(digest);
+}
+
+bool
+Bindings::shareOutput(int varId,
+                      std::shared_ptr<const std::vector<double>> contents,
+                      uint64_t digest) const
+{
+    if (!hosts_[varId])
+        return false;
+    hosts_[varId]->share(std::move(contents), digest);
+    return true;
+}
+
+ArraySlot
+Bindings::arraySlot(int varId) const
+{
+    ArraySlot slot = arrays_[varId];
+    // A host array's contents move between its own storage and storage
+    // shared with the eval cache; a run writes only private contents
+    // (prepareOutputs).
+    if (hosts_[varId])
+        slot.data = const_cast<double *>(hosts_[varId]->values().data());
+    return slot;
 }
 
 } // namespace npp

@@ -105,6 +105,7 @@ ReferenceInterp::run(const Program &prog, const Bindings &args,
     // a mid-run panic; programs from ProgramBuilder::build() are already
     // validated and revalidation is cheap and idempotent.
     prog.validate();
+    args.prepareOutputs();
 
     RootWorker primary(prog, args);
     const Pattern &root = prog.root();

@@ -1,6 +1,7 @@
 #include "server/programs.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "apps/dynsize.h"
 #include "apps/sums.h"
@@ -72,25 +73,30 @@ sumDemo(bool byCols, bool weighted, std::map<std::string, int64_t> sizes,
     d->prog = sp.prog;
     d->params = {{sp.r.ref()->varId, static_cast<double>(R)},
                  {sp.c.ref()->varId, static_cast<double>(C)}};
-    // The binder owns its storage: shared_ptr'd vectors captured by
+    // The binder owns its storage: shared_ptr'd arrays captured by
     // value keep each DemoProgram instance race-free under concurrent
     // service requests (the old CLI demos used function-local statics).
-    auto m = std::make_shared<std::vector<double>>();
-    auto v = std::make_shared<std::vector<double>>();
-    auto out = std::make_shared<std::vector<double>>();
+    // Inputs are generated on the first bind and bound frozen, so every
+    // later fingerprint of this instance reuses their digests.
+    auto m = std::make_shared<HostArray>();
+    auto v = std::make_shared<HostArray>();
+    auto out = std::make_shared<HostArray>();
     d->bind = [sp, R, C, m, v, out](Bindings &args) {
-        Rng rng(1);
-        m->assign(R * C, 0.0);
-        for (auto &x : *m)
-            x = rng.uniform(0, 1);
+        if (m->size() == 0) {
+            Rng rng(1);
+            std::vector<double> &values = m->mut();
+            values.assign(R * C, 0.0);
+            for (auto &x : values)
+                x = rng.uniform(0, 1);
+            if (sp.weighted)
+                v->mut().assign(std::max(R, C), 1.0);
+        }
         args.scalar(sp.r, static_cast<double>(R));
         args.scalar(sp.c, static_cast<double>(C));
-        args.array(sp.m, *m);
-        if (sp.weighted) {
-            v->assign(std::max(R, C), 1.0);
-            args.array(sp.v, *v);
-        }
-        out->assign(sp.outputSize(R, C), 0.0);
+        args.array(sp.m, std::as_const(*m));
+        if (sp.weighted)
+            args.array(sp.v, std::as_const(*v));
+        out->mut().assign(sp.outputSize(R, C), 0.0);
         args.array(sp.out, *out);
     };
     return d;
@@ -130,14 +136,15 @@ pagerankDemo(std::map<std::string, int64_t> sizes, std::string *error)
     d->prog = std::make_shared<Program>(b.build());
     d->fuse = true;
     d->params = {{n.ref()->varId, static_cast<double>(N)}};
-    auto data = std::make_shared<std::vector<std::vector<double>>>();
+    // start, nbrs, deg and prev (inputs, bound frozen), then rank.
+    auto data = std::make_shared<std::vector<HostArray>>();
     d->bind = [=](Bindings &args) {
         if (data->empty()) {
-            data->resize(5); // start, nbrs, deg, prev, rank
-            auto &startD = (*data)[0];
-            auto &nbrD = (*data)[1];
-            auto &degD = (*data)[2];
-            auto &prevD = (*data)[3];
+            data->resize(5);
+            auto &startD = (*data)[0].mut();
+            auto &nbrD = (*data)[1].mut();
+            auto &degD = (*data)[2].mut();
+            auto &prevD = (*data)[3].mut();
             Rng rng(3);
             startD.push_back(0);
             for (int64_t v = 0; v < N; v++) {
@@ -151,13 +158,14 @@ pagerankDemo(std::map<std::string, int64_t> sizes, std::string *error)
                 degD[static_cast<int64_t>(x)] += 1.0;
             prevD.assign(N, 1.0 / N);
         }
-        (*data)[4].assign(N, 0.0);
+        (*data)[4].mut().assign(N, 0.0);
+        const std::vector<HostArray> &in = *data;
         args.scalar(n, static_cast<double>(N));
         args.scalar(damp, 0.85);
-        args.array(start, (*data)[0]);
-        args.array(nbrs, (*data)[1]);
-        args.array(deg, (*data)[2]);
-        args.array(prev, (*data)[3]);
+        args.array(start, in[0]);
+        args.array(nbrs, in[1]);
+        args.array(deg, in[2]);
+        args.array(prev, in[3]);
         args.array(out, (*data)[4]);
     };
     return d;
@@ -204,9 +212,9 @@ mandelDemo(std::map<std::string, int64_t> sizes, std::string *error)
     d->prog = std::make_shared<Program>(b.build());
     d->params = {{h.ref()->varId, static_cast<double>(H)},
                  {w.ref()->varId, static_cast<double>(W)}};
-    auto imgD = std::make_shared<std::vector<double>>();
+    auto imgD = std::make_shared<HostArray>();
     d->bind = [=](Bindings &args) {
-        imgD->assign(H * W, 0.0);
+        imgD->mut().assign(H * W, 0.0);
         args.scalar(h, static_cast<double>(H));
         args.scalar(w, static_cast<double>(W));
         args.array(img, *imgD);
@@ -232,19 +240,30 @@ spmvDemo(std::map<std::string, int64_t> sizes, std::string *error)
     auto d = std::make_unique<DemoProgram>();
     d->prog = sp.prog;
     d->params = {{sp.nParam.ref()->varId, static_cast<double>(rows)}};
-    auto m = std::make_shared<CsrMatrix>();
-    auto x = std::make_shared<std::vector<double>>();
-    auto y = std::make_shared<std::vector<double>>();
-    d->bind = [sp, rows, avgDeg, m, x, y](Bindings &args) {
-        if (m->rows == 0) {
-            *m = makeCsr(rows, avgDeg, RowDist::Skewed, /*seed=*/11);
-            x->assign(rows, 0.0);
+    // rowStart, cols, vals and x (inputs, bound frozen), then y.
+    auto data = std::make_shared<std::vector<HostArray>>();
+    d->bind = [sp, rows, avgDeg, data](Bindings &args) {
+        if (data->empty()) {
+            CsrMatrix m = makeCsr(rows, avgDeg, RowDist::Skewed,
+                                  /*seed=*/11);
+            std::vector<double> x(rows, 0.0);
             Rng rng(7);
-            for (auto &v : *x)
+            for (auto &v : x)
                 v = rng.uniform(-1, 1);
+            data->push_back(HostArray(std::move(m.rowStart)));
+            data->push_back(HostArray(std::move(m.cols)));
+            data->push_back(HostArray(std::move(m.vals)));
+            data->push_back(HostArray(std::move(x)));
+            data->push_back(HostArray());
         }
-        y->assign(rows, 0.0);
-        args = sp.bind(*m, *x, *y);
+        (*data)[4].mut().assign(rows, 0.0);
+        const std::vector<HostArray> &in = *data;
+        args.scalar(sp.nParam, static_cast<double>(rows));
+        args.array(sp.startArr, in[0]);
+        args.array(sp.colArr, in[1]);
+        args.array(sp.valArr, in[2]);
+        args.array(sp.xArr, in[3]);
+        args.array(sp.outArr, (*data)[4]);
     };
     return d;
 }

@@ -183,12 +183,17 @@ enum class EntryKind : uint8_t
     Reference = 1, //!< a sequential reference run: WorkCounts
 };
 
+/** Read-only array contents that the cache and the host arrays it
+ *  replays into share. */
+using SharedArray = std::shared_ptr<const std::vector<double>>;
+
 /** One distinct output array of the memory tier, shared by every entry
- *  whose captured contents are bit-equal to it. */
+ *  whose captured contents are bit-equal to it (and by the host arrays
+ *  it was replayed into). */
 struct Blob
 {
     uint64_t digest = 0;
-    std::vector<double> data;
+    SharedArray data;
     uint64_t refs = 0; //!< entries that use it
 };
 
@@ -200,12 +205,9 @@ struct OutputArray
     const double *data = nullptr; //!< unused when `owned` holds them
     size_t size = 0;
     uint64_t digest = 0;
-    std::vector<double> owned;
+    SharedArray owned;
 
-    const double *contents() const
-    {
-        return owned.empty() ? data : owned.data();
-    }
+    const double *contents() const { return owned ? owned->data() : data; }
 };
 
 /** One memoized evaluation (either tier). */
@@ -236,32 +238,38 @@ entryFootprint(const CacheEntry &entry)
 uint64_t
 blobFootprint(const Blob &blob)
 {
-    return sizeof(Blob) + 64 + blob.data.capacity() * sizeof(double);
+    return sizeof(Blob) + 64 + blob.data->capacity() * sizeof(double);
 }
 
-/** (varId, contents, length) of one output an entry can replay. */
+/** (varId, contents, length, digest) of one output an entry can
+ *  replay, and the shared contents when there are any. */
 struct OutputView
 {
     int varId;
     const double *data;
     size_t size;
+    uint64_t digest;
+    const SharedArray &shared;
 };
 
 OutputView
 viewOf(const std::pair<int, Blob *> &out)
 {
-    return {out.first, out.second->data.data(), out.second->data.size()};
+    const Blob &blob = *out.second;
+    return {out.first, blob.data->data(), blob.data->size(), blob.digest,
+            blob.data};
 }
 
 OutputView
 viewOf(const OutputArray &out)
 {
-    return {out.varId, out.contents(), out.size};
+    return {out.varId, out.contents(), out.size, out.digest, out.owned};
 }
 
 /** Can an entry answer a probe? A wantOutputs probe needs captured
  *  outputs (memory blobs or disk contents), each naming a bound output
- *  array param of matching length; they are then copied into `args`. */
+ *  array param of matching length; a host array then shares them, with
+ *  their digest, and a plain vector gets a copy. */
 template <class Outputs>
 bool
 serveEntry(bool hasOutputs, const Outputs &outputs, bool wantOutputs,
@@ -284,6 +292,8 @@ serveEntry(bool hasOutputs, const Outputs &outputs, bool wantOutputs,
     }
     for (const auto &out : outputs) {
         const OutputView o = viewOf(out);
+        if (o.shared && args->shareOutput(o.varId, o.shared, o.digest))
+            continue;
         if (o.size)
             std::memcpy(args->arraySlot(o.varId).data, o.data,
                         o.size * sizeof(double));
@@ -359,9 +369,10 @@ deserializeEntry(const std::string &payload, CacheEntry *out,
         OutputArray o;
         o.varId = static_cast<int>(varId);
         o.size = elems;
-        o.owned.resize(elems);
-        if (!r.take(o.owned.data(), elems * sizeof(double)))
+        auto contents = std::make_shared<std::vector<double>>(elems);
+        if (!r.take(contents->data(), elems * sizeof(double)))
             return false;
+        o.owned = std::move(contents);
         outs->push_back(std::move(o));
     }
     return r.exhausted();
@@ -471,17 +482,17 @@ struct EvalCache::Impl
     }
 
     /** The blob holding `out`'s contents: an existing one whose bytes
-     *  compare equal, else a new one (moving `owned` contents in,
-     *  copying a view). Caller holds mu. */
+     *  compare equal, else a new one (sharing `owned` contents, copying
+     *  a view). Caller holds mu. */
     Blob *
     intern(OutputArray &out)
     {
         auto &bucket = blobs[out.digest];
         const double *src = out.contents();
         for (const auto &blob : bucket) {
-            if (blob->data.size() == out.size &&
+            if (blob->data->size() == out.size &&
                 (out.size == 0 ||
-                 std::memcmp(blob->data.data(), src,
+                 std::memcmp(blob->data->data(), src,
                              out.size * sizeof(double)) == 0)) {
                 blob->refs++;
                 return blob.get();
@@ -489,10 +500,9 @@ struct EvalCache::Impl
         }
         auto blob = std::make_unique<Blob>();
         blob->digest = out.digest;
-        if (!out.owned.empty())
-            blob->data = std::move(out.owned);
-        else
-            blob->data.assign(src, src + out.size);
+        blob->data = out.owned ? out.owned
+                               : std::make_shared<const std::vector<double>>(
+                                     src, src + out.size);
         blob->refs = 1;
         counters.bytes += blobFootprint(*blob);
         bucket.push_back(std::move(blob));
@@ -617,13 +627,13 @@ struct EvalCache::Impl
             return false;
         }
 
+        for (OutputArray &o : outs)
+            o.digest = digestArray(o.contents(),
+                                   static_cast<int64_t>(o.size));
         const bool usable =
             serveEntry(entry.hasOutputs, outs, wantOutputs, args);
         if (usable)
             take(entry);
-        for (OutputArray &o : outs)
-            o.digest = digestArray(o.contents(),
-                                   static_cast<int64_t>(o.size));
         {
             std::lock_guard<std::mutex> lock(mu);
             // Promote into memory either way — a later metrics-only
@@ -644,7 +654,8 @@ struct EvalCache::Impl
 
     /** Insert into memory and write through to disk. With `outputsOf`
      *  the current contents of its output arrays are captured (digested
-     *  in place, copied only if no equal blob is resident). */
+     *  in place, copied only if no equal blob is resident), and its host
+     *  arrays take those digests. */
     void
     store(Entry &&entry, const Bindings *outputsOf, uint64_t capacity)
     {
@@ -662,6 +673,7 @@ struct EvalCache::Impl
                 o.data = slot.data;
                 o.size = static_cast<size_t>(slot.physSize);
                 o.digest = digestArray(slot.data, slot.physSize);
+                outputsOf->setOutputDigest(v.id, o.digest);
                 outs.push_back(std::move(o));
             }
         }

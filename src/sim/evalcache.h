@@ -157,9 +157,10 @@ class EvalCache
     bool enabled() const { return capacityBytes_ > 0; }
 
     /** Probe the tiers in order (memory, then disk when configured). On
-     *  a hit with wantOutputs, the memoized output arrays are copied
-     *  into `args`'s bound storage (a report-only entry is treated as a
-     *  miss). When `tierOut` is non-null it reports where the hit came
+     *  a hit with wantOutputs, the memoized output arrays replay into
+     *  `args`'s outputs (a report-only entry is treated as a miss): a
+     *  HostArray shares them, with their digest, and a plain vector gets
+     *  a copy. When `tierOut` is non-null it reports where the hit came
      *  from (unchanged on a miss). */
     std::optional<SimReport> find(uint64_t key, bool wantOutputs,
                                   const Bindings *args,
@@ -168,14 +169,15 @@ class EvalCache
     /** Insert an evaluation into both tiers (write-through when a disk
      *  directory is configured). When `outputsOf` is non-null the
      *  current contents of its output arrays are captured so later
-     *  wantOutputs lookups can replay them. */
+     *  wantOutputs lookups can replay them, and its host arrays take
+     *  the digests the capture computed. */
     void store(uint64_t key, const SimReport &report,
                const Bindings *outputsOf);
 
     /** @name Reference-run entries
      *  Same tiers and key space as GPU entries, but a reference probe
-     *  only accepts reference entries (and vice versa). A hit copies the
-     *  memoized outputs into `args`'s bound storage.
+     *  only accepts reference entries (and vice versa). A hit replays
+     *  the memoized outputs into `args` as find does.
      *  @{
      */
     std::optional<WorkCounts> findReference(uint64_t key,
@@ -302,8 +304,8 @@ SimReport cachedRun(const Gpu &gpu, const KernelSpec &spec,
  * EvalCache::referenceSeed(prog), computed once per program by the
  * caller, and `rootRefusal` (optional) its cached rootParallelRefusal.
  * A miss runs the interpreter (inside a `runtime.reference` span) and
- * stores its work counts and outputs; a hit copies the outputs into
- * `args` and returns the stored counts.
+ * stores its work counts and outputs; a hit replays the outputs into
+ * `args` (EvalCache::find) and returns the stored counts.
  */
 WorkCounts cachedReference(const Program &prog, const Bindings &args,
                            uint64_t referenceSeed,

@@ -1827,6 +1827,10 @@ executeOnDevice(const KernelSpec &spec, const Bindings &args,
                 const DeviceConfig &device, const ExecOptions &options)
 {
     NPP_TRACE_SCOPE("sim.execute");
+    // A functional run writes the bound outputs; a metrics-only run
+    // writes private copies of them.
+    if (!options.metricsOnly)
+        args.prepareOutputs();
     DeviceExecutor exec(spec, args, device, options);
     KernelStats stats = exec.run();
     NPP_TRACE_COUNT("sim.blocks", static_cast<double>(stats.totalBlocks));

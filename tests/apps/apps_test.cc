@@ -267,6 +267,67 @@ TEST(AppValidationCache, SecondRunReplaysReferenceBitIdentically)
     cache.clear();
 }
 
+/** Digests follow the data: a second pass of apps whose launches
+ *  rewrite or swap their arrays (Gaussian's Fan1/Fan2, LUD's scale and
+ *  update, Pathfinder's row ping-pong) hashes only the arrays its host
+ *  loops freshly copy in, because every launch leaves each written
+ *  array with the digest the cache holds for its bytes. The pass
+ *  replays every launch from memory and reports bit-identical rows. */
+TEST(AppValidationCache, WarmPassHashesOnlyFreshCopies)
+{
+    Gpu gpu;
+    EvalCache &cache = EvalCache::instance();
+    Trace &trace = Trace::instance();
+    const int64_t savedCapacity = cache.capacityBytes();
+    const std::string savedDir = cache.diskDir();
+    cache.setDiskDir("");
+    cache.setCapacityBytes(int64_t(1) << 30);
+    cache.clear();
+    const bool wasEnabled = trace.enabled();
+    trace.setEnabled(true);
+
+    struct Case
+    {
+        std::unique_ptr<App> app;
+        int64_t freshElems; //!< elements each host loop starts afresh
+    };
+    const int64_t g = 48, l = 40, cols = 1024;
+    std::vector<Case> cases;
+    cases.push_back({makeGaussian(g, false), g * g + 2 * g}); // a, b, mcol
+    cases.push_back({makeGaussian(g, true), g * g + 2 * g});
+    cases.push_back({makeLud(l), l * l});                  // a
+    cases.push_back({makePathfinder(6, cols), 2 * cols}); // src, dst
+    // Three host loops per pass: the validated GPU run, its reference
+    // run and the OneD run.
+    const auto pass = [&](App &app) {
+        const AppResult multi = app.run(gpu, Strategy::MultiDim, true);
+        const AppResult oneD = app.run(gpu, Strategy::OneD);
+        return std::vector<double>{multi.gpuMs, multi.maxError, multi.cpuMs,
+                                   oneD.gpuMs};
+    };
+    for (Case &c : cases) {
+        const std::vector<double> cold = pass(*c.app);
+        cache.resetCounters();
+        const double before = trace.counterValue("runtime.hashed_bytes");
+        const std::vector<double> warm = pass(*c.app);
+        const double hashed =
+            trace.counterValue("runtime.hashed_bytes") - before;
+        EXPECT_LE(hashed, 3.0 * static_cast<double>(c.freshElems) *
+                              sizeof(double))
+            << c.app->name();
+        EXPECT_EQ(cache.stats().misses, 0u) << c.app->name();
+        ASSERT_EQ(warm.size(), cold.size());
+        EXPECT_EQ(std::memcmp(warm.data(), cold.data(),
+                              cold.size() * sizeof(double)),
+                  0)
+            << c.app->name();
+    }
+    trace.setEnabled(wasEnabled);
+    cache.setCapacityBytes(savedCapacity);
+    cache.setDiskDir(savedDir);
+    cache.clear();
+}
+
 TEST(AppShapes, OneDLosesOnMultiLevelApps)
 {
     Gpu gpu;

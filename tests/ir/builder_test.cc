@@ -234,8 +234,8 @@ TEST(BuilderDeath, NonAssociativeReduceRejected)
 }
 
 /** A launch may write only arrays declared output: the eval cache
- *  captures and replays only those, and a FrozenArray input is digested
- *  once on that promise. */
+ *  captures and replays only those, and a launch keeps only its
+ *  outputs' HostArray digests current. */
 TEST(BuilderDeath, WritesToInputArraysRejected)
 {
     EXPECT_DEATH(

@@ -3,7 +3,7 @@
  * Unit tests for the expression evaluator: value semantics,
  * short-circuit logic, access-cost accounting, slot view transforms
  * (offset/stride and the decoupled trace addressing), probe
- * reporting, and the bindings fingerprint (including FrozenArray
+ * reporting, and the bindings fingerprint (including HostArray
  * inputs, whose digest is computed once).
  */
 
@@ -217,8 +217,8 @@ TEST(Fingerprint, ChangesWithEveryScalarSizeAndElement)
     }
 }
 
-/** Binding a FrozenArray or a vector of the same contents is the same
- *  binding: equal slots and an equal fingerprint. */
+/** Binding a HostArray (frozen or not) or a vector of the same
+ *  contents is the same binding: equal slots and an equal fingerprint. */
 TEST(Fingerprint, FrozenAndVectorBindingsAgree)
 {
     Fixture f;
@@ -227,8 +227,9 @@ TEST(Fingerprint, FrozenAndVectorBindingsAgree)
         for (int i = 0; i < n; i++)
             contents[i] = std::sin(0.1 * i);
         std::vector<double> copy = contents;
-        const FrozenArray frozen(contents);
-        std::vector<double> out1(3, 0.0), out2(3, 0.0);
+        const HostArray frozen(contents);
+        std::vector<double> out1(3, 0.0);
+        HostArray out2(std::vector<double>(3, 0.0));
 
         Bindings viaVector(*f.prog), viaFrozen(*f.prog);
         for (Bindings *args : {&viaVector, &viaFrozen}) {
@@ -243,6 +244,8 @@ TEST(Fingerprint, FrozenAndVectorBindingsAgree)
         EXPECT_EQ(frozen.digest(), digestArray(contents.data(), n));
         EXPECT_EQ(viaFrozen.fingerprint(), viaVector.fingerprint()) << n;
         EXPECT_EQ(viaFrozen.fingerprint(), viaVector.fingerprint()) << n;
+        // A held digest is the one recomputed over the same bytes.
+        EXPECT_EQ(out2.digest(), digestArray(out1.data(), 3));
 
         const ArraySlot &v = viaVector.arraySlot(f.arr.id());
         const ArraySlot &z = viaFrozen.arraySlot(f.arr.id());
@@ -263,7 +266,7 @@ TEST(Fingerprint, FrozenAndVectorBindingsAgree)
 TEST(FingerprintDeath, OutputCannotBeBoundFrozen)
 {
     Fixture f;
-    const FrozenArray frozen(std::vector<double>(4, 1.0));
+    const HostArray frozen(std::vector<double>(4, 1.0));
     Bindings args(*f.prog);
     EXPECT_DEATH(args.array(f.out, frozen), "cannot be bound frozen");
 }

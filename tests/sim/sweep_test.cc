@@ -4,8 +4,9 @@
  * the seven demo programs to the values the four drivers produced
  * before they shared one engine, pins the section renderers byte for
  * byte (the consolidation and fleet tables read as they always did),
- * and checks the warm-cache contract: a sweep call digests the bindings
- * once, and consolidation and fleet points compile nothing.
+ * and checks the warm-cache contract: the bindings are digested once,
+ * and a warm sweep call of any kind hashes nothing and compiles
+ * nothing.
  */
 
 #include <gtest/gtest.h>
@@ -395,9 +396,16 @@ TEST(SweepEngine, WarmSweepsDigestOnceAndCompileNoPoint)
     // points.
     for (const char *name : {"sumrows", "spmv"}) {
         const Demo d(name, kSizes.at(name));
-        const double digest = delta("runtime.hashed_bytes",
-                                    [&] { d.args->fingerprint(); });
-        ASSERT_GT(digest, 0.0) << name;
+        // The first fingerprint digests every bound array; the demo's
+        // host arrays hold those digests from then on.
+        EXPECT_GT(delta("runtime.hashed_bytes",
+                        [&] { d.args->fingerprint(); }),
+                  0.0)
+            << name;
+        EXPECT_EQ(delta("runtime.hashed_bytes",
+                        [&] { d.args->fingerprint(); }),
+                  0.0)
+            << name;
         const CompileResult compiled =
             compileProgram(d.prog(), gpu.config(), d.copts);
         const uint64_t seed =
@@ -405,22 +413,20 @@ TEST(SweepEngine, WarmSweepsDigestOnceAndCompileNoPoint)
         struct Call
         {
             const char *sweep;
-            bool compilesNoPoint;
             std::function<void()> run;
         };
         const std::vector<Call> calls = {
-            {"autotune", false,
-             [&] { autotune(d.prog(), gpu, *d.args, d.copts); }},
-            {"predict", false,
+            {"autotune", [&] { autotune(d.prog(), gpu, *d.args, d.copts); }},
+            {"predict",
              [&] {
                  predictiveSweep(gpu, d.prog(), *d.args, d.copts, nullptr,
                                  kPredictDefaultTopK);
              }},
-            {"consolidation", true,
+            {"consolidation",
              [&] {
                  searchConsolidation(gpu, d.prog(), *d.args, d.copts, {});
              }},
-            {"fleet", true,
+            {"fleet",
              [&] {
                  searchFleet(gpu, compiled.spec, *d.args, fleetK20c(4), {},
                              seed);
@@ -433,10 +439,8 @@ TEST(SweepEngine, WarmSweepsDigestOnceAndCompileNoPoint)
             const double hashed = delta("runtime.hashed_bytes", [&] {
                 compiles = delta("compile.calls", c.run);
             });
-            EXPECT_EQ(hashed, digest) << name << " " << c.sweep;
-            if (c.compilesNoPoint) {
-                EXPECT_EQ(compiles, 0.0) << name << " " << c.sweep;
-            }
+            EXPECT_EQ(hashed, 0.0) << name << " " << c.sweep;
+            EXPECT_EQ(compiles, 0.0) << name << " " << c.sweep;
         }
     }
     trace.setEnabled(wasEnabled);

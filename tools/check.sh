@@ -16,8 +16,8 @@
 #                               # every demo program's nppc --stats
 #                               # export and its --predict mapping
 #                               # against the working tree, and the
-#                               # working tree's disk-warm fig12/14 rows
-#                               # against its cold ones
+#                               # working tree's disk-warm fig12/13/14
+#                               # rows against its cold ones
 #
 # Every ctest invocation runs the full suite. The labels pick out the
 # suites worth a quick focused rerun, and the `label` job runs them in
@@ -25,8 +25,9 @@
 # (corrupt cache and model files, malformed requests) exercise the
 # deserializers under sanitizers:
 #   differential  block classing is bit-exact against full simulation,
-#                 and block-parallel / root-parallel runs against the
-#                 serial loop (sim_block_parallel_test)
+#                 block-parallel / root-parallel runs against the serial
+#                 loop (sim_block_parallel_test), and every held array
+#                 digest against digestArray (sim_digest_test)
 #   coalesce      coalescing-model contracts (shift invariance)
 #   server        mapping service, request coalescing, hostile disk
 #                 entries (each test uses its own NPP_EVAL_CACHE_DIR)
@@ -35,7 +36,8 @@
 #   predict       learned cost model: featurizer determinism, hostile
 #                 model files, pruned-vs-full sweep differential
 #   sweep         the sweep engine: every sweep's winner against goldens,
-#                 the section renderers, one bindings digest per call
+#                 the section renderers, no hashing and no compile in a
+#                 warm sweep call
 # e.g. `tools/check.sh label 'coalesce|differential'`.
 #
 # The `rows` job proves a change leaves every result byte-identical: the
@@ -48,11 +50,13 @@
 # for the seven programs: with no model loaded that is the winner of
 # the full 48-candidate predictive sweep. Both trees
 # run with every NPP_* variable unset, so neither can replay the other's
-# disk-cache entries. It then runs fig12 and fig14 twice in the working
-# tree against one fresh NPP_EVAL_CACHE_DIR and diffs the second run's
-# rows against the first: the second replays every launch and every
-# reference validation from disk, and fig14 divides by the replayed
-# reference work counts (cpuMs). Last, in the working tree, it
+# disk-cache entries. It then runs fig12, fig13 and fig14 twice in the
+# working tree against one fresh NPP_EVAL_CACHE_DIR and diffs the second
+# run's rows against the first: the second replays every launch and
+# every reference validation from disk, each replay leaving the digest
+# of the bytes it wrote for the next launch's key (fig13's Gaussian(R)
+# and (C) carry such digests through the most launches), and fig14
+# divides by the replayed reference work counts (cpuMs). Last, in the working tree, it
 # re-exports the seven demo programs' --stats with NPP_THREADS=1 (every
 # launch on the serial loop) and diffs them against the default-thread
 # exports, and runs `compiler_microbench --pipeline`, which exits
@@ -149,7 +153,7 @@ rows)
     fi
     warm="${rows_dir}/out/warm"
     mkdir -p "${warm}/cache"
-    for fig in fig12_rodinia fig14_realworld; do
+    for fig in fig12_rodinia fig13_fixed2d fig14_realworld; do
         for run in cold disk; do
             NPP_EVAL_CACHE_DIR="${warm}/cache" "build/bench/${fig}" \
                 --json="${warm}/${fig}-${run}.json" >/dev/null
